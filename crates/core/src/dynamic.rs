@@ -16,7 +16,6 @@
 //! fall back to full preprocessing. [`DynamicBear::insert_edge`] reports
 //! which path was taken.
 
-use crate::paging::Factor;
 use crate::precompute::{Bear, BearConfig};
 use crate::rwr::{build_h, Normalization};
 use bear_graph::Graph;
@@ -200,13 +199,14 @@ impl DynamicBear {
         // keeps the code auditable; the dominant cost is the refactor
         // anyway. S = H₂₂ − H₂₁ U₁⁻¹ L₁⁻¹ H₁₂ column by column.
         let mut s_coo = CooMatrix::new(n2, n2);
+        let mut tmp = vec![0.0f64; n1];
+        let mut t = vec![0.0f64; n1];
         for col in 0..n2 {
             let mut dense_col = vec![0.0f64; n1];
             for &(r, v) in &self.h12_cols[col] {
                 dense_col[r] = v;
             }
-            let t = self.bear.spokes.matvec(Factor::L1, &dense_col)?;
-            let t = self.bear.spokes.matvec(Factor::U1, &t)?;
+            self.bear.spokes.solve_into(&dense_col, &mut tmp, &mut t)?;
             let y = self.bear.h21.matvec(&t)?;
             let mut s_col = vec![0.0f64; n2];
             for &(r, v) in &self.h22_cols[col] {

@@ -13,8 +13,10 @@
 //!   (`pread` on a file handle; plain `std`, no mmap dependency) into an
 //!   LRU-evicted resident set capped by a byte budget;
 //! * [`SpokeFactors`] is the dispatch point the query kernels run
-//!   through: the `Resident` variant holds the familiar whole matrices,
-//!   the `Paged` variant walks blocks through the pager.
+//!   through: one fused solve applies `H₁₁⁻¹ = U₁⁻¹L₁⁻¹`. The `Resident`
+//!   variant holds the familiar whole matrices, the `Paged` variant
+//!   walks blocks through the pager, fetching each block once and
+//!   applying both of its factors before moving on.
 //!
 //! # Bit-identity
 //!
@@ -28,8 +30,11 @@
 //! same additions in the exact same order into every `y[r]` — including
 //! the zero-input skip, so an untouched block can skip its *fetch*
 //! entirely (the paging win: a one-hot seed touches one block in the
-//! first sweep). The blocked multi-RHS kernel (`spmm_acc_inner`) and the
-//! top-k scatter replicate their resident counterparts the same way.
+//! first sweep). The same holds for `U₁⁻¹` applied to the intermediate
+//! `L₁⁻¹x`, whose block `B` depends only on `x[B]`, so both factors of
+//! a block apply back to back on one fetch. With several right-hand
+//! sides, each output entry still receives its additions in ascending
+//! column order, as in the resident `spmm_into`.
 //!
 //! # Concurrency
 //!
@@ -61,15 +66,6 @@ pub(crate) fn corrupt_shard(shard: usize, detail: impl std::fmt::Display) -> Err
     }
 }
 
-/// Which spoke factor a kernel applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Factor {
-    /// `L₁⁻¹` — inverse unit-lower factor.
-    L1,
-    /// `U₁⁻¹` — inverse upper factor.
-    U1,
-}
-
 /// One diagonal block's inverted factors, stored block-locally: both
 /// matrices are `dim × dim` CSC with row indices rebased to the block.
 #[derive(Debug, Clone)]
@@ -95,13 +91,6 @@ impl FactorPair {
     /// Block dimension.
     pub fn dim(&self) -> usize {
         self.l1.nrows()
-    }
-
-    fn factor(&self, f: Factor) -> &CscMatrix {
-        match f {
-            Factor::L1 => &self.l1,
-            Factor::U1 => &self.u1,
-        }
     }
 
     fn memory_bytes(&self) -> usize {
@@ -761,21 +750,15 @@ impl SpokeFactors {
         }
     }
 
-    /// Stored nonzeros of one factor (from the directory when paged).
-    pub(crate) fn nnz(&self, f: Factor) -> usize {
+    /// Stored nonzeros of `L₁⁻¹` and `U₁⁻¹` (from the directory when
+    /// paged).
+    pub(crate) fn nnz(&self) -> (usize, usize) {
         match self {
-            SpokeFactors::Resident { l1_inv, u1_inv } => match f {
-                Factor::L1 => l1_inv.nnz(),
-                Factor::U1 => u1_inv.nnz(),
-            },
+            SpokeFactors::Resident { l1_inv, u1_inv } => (l1_inv.nnz(), u1_inv.nnz()),
             SpokeFactors::Paged { pager } => pager
                 .directory()
                 .iter()
-                .map(|m| match f {
-                    Factor::L1 => m.l1_nnz as usize,
-                    Factor::U1 => m.u1_nnz as usize,
-                })
-                .sum(),
+                .fold((0, 0), |(l, u), m| (l + m.l1_nnz as usize, u + m.u1_nnz as usize)),
         }
     }
 
@@ -838,184 +821,164 @@ impl SpokeFactors {
         Ok(pairs)
     }
 
-    /// `y = F x` — bit-identical to `CscMatrix::matvec_into` on the
-    /// whole factor. The paged arm skips (never fetches) blocks whose
-    /// input slice is entirely zero.
-    pub(crate) fn matvec_into(&self, f: Factor, x: &[f64], y: &mut [f64]) -> Result<()> {
+    /// `y = U₁⁻¹(L₁⁻¹x)` — one `H₁₁⁻¹` application, with `tmp` left
+    /// holding `L₁⁻¹x`. Bit-identical to two `CscMatrix::matvec_into`
+    /// calls on the whole factors. The paged arm fetches each block
+    /// whose input slice is nonzero exactly once and never fetches the
+    /// others.
+    pub(crate) fn solve_into(&self, x: &[f64], tmp: &mut [f64], y: &mut [f64]) -> Result<()> {
         match self {
-            SpokeFactors::Resident { l1_inv, u1_inv } => match f {
-                Factor::L1 => l1_inv.matvec_into(x, y),
-                Factor::U1 => u1_inv.matvec_into(x, y),
-            },
-            SpokeFactors::Paged { pager } => {
-                let n1 = pager.dim();
-                if x.len() != n1 || y.len() != n1 {
-                    return Err(Error::DimensionMismatch {
-                        op: "paged spoke matvec",
-                        lhs: (n1, n1),
-                        rhs: (y.len(), x.len()),
-                    });
-                }
-                y.fill(0.0);
-                for b in 0..pager.num_blocks() {
-                    let (bs, be) = pager.block_range(b)?;
-                    let xb = x
-                        .get(bs..be)
-                        .ok_or_else(|| corrupt_shard(b, "block range beyond input vector"))?;
-                    // An all-zero input slice contributes nothing in the
-                    // whole-matrix kernel (per-column zero skip), so the
-                    // block need not even be fetched.
-                    if xb.iter().all(|&v| v == 0.0) {
-                        continue;
-                    }
-                    let pair = pager.fetch(b)?;
-                    let m = pair.factor(f);
-                    if m.ncols() != be - bs {
-                        return Err(corrupt_shard(b, "decoded dimension mismatch"));
-                    }
-                    for (off, &xc) in xb.iter().enumerate() {
-                        if xc == 0.0 {
-                            continue;
-                        }
-                        let (rows, vals) = m.col(off);
-                        for (&r, &v) in rows.iter().zip(vals) {
-                            if let Some(slot) = y.get_mut(bs + r) {
-                                *slot += v * xc;
-                            }
-                        }
-                    }
-                }
-                Ok(())
+            SpokeFactors::Resident { l1_inv, u1_inv } => {
+                l1_inv.matvec_into(x, tmp)?;
+                u1_inv.matvec_into(tmp, y)
             }
+            SpokeFactors::Paged { pager } => self.sweep(pager, x, tmp, y),
         }
     }
 
-    /// Allocating form of [`SpokeFactors::matvec_into`].
-    pub(crate) fn matvec(&self, f: Factor, x: &[f64]) -> Result<Vec<f64>> {
-        let mut y = vec![0.0; self.dim()];
-        self.matvec_into(f, x, &mut y)?;
-        Ok(y)
-    }
-
-    /// `Y = F X` — bit-identical per column to
-    /// `CscMatrix::spmm_into` on the whole factor (width-1 delegates to
-    /// the vector kernel, exactly as the resident kernel does).
-    pub(crate) fn spmm_into(&self, f: Factor, x: &DenseBlock, y: &mut DenseBlock) -> Result<()> {
+    /// Multi-RHS form of [`SpokeFactors::solve_into`]: each column is
+    /// bit-identical to `solve_into` on that column, as the resident
+    /// `spmm_into` kernels guarantee.
+    pub(crate) fn solve_block_into(
+        &self,
+        x: &DenseBlock,
+        tmp: &mut DenseBlock,
+        y: &mut DenseBlock,
+    ) -> Result<()> {
         match self {
-            SpokeFactors::Resident { l1_inv, u1_inv } => match f {
-                Factor::L1 => l1_inv.spmm_into(x, y),
-                Factor::U1 => u1_inv.spmm_into(x, y),
-            },
+            SpokeFactors::Resident { l1_inv, u1_inv } => {
+                l1_inv.spmm_into(x, tmp)?;
+                u1_inv.spmm_into(tmp, y)
+            }
             SpokeFactors::Paged { pager } => {
                 let n1 = pager.dim();
-                if x.nrows() != n1 || y.nrows() != n1 || x.ncols() != y.ncols() {
+                if [x.nrows(), tmp.nrows(), y.nrows()] != [n1; 3]
+                    || tmp.ncols() != x.ncols()
+                    || y.ncols() != x.ncols()
+                {
                     return Err(Error::DimensionMismatch {
-                        op: "paged spoke spmm",
+                        op: "paged spoke solve_block",
                         lhs: (n1, n1),
                         rhs: (x.nrows(), x.ncols()),
                     });
                 }
-                if x.ncols() == 1 {
-                    return self.matvec_into(f, x.col(0), y.col_mut(0));
-                }
-                y.fill(0.0);
-                let k = x.ncols();
-                for b in 0..pager.num_blocks() {
-                    let (bs, be) = pager.block_range(b)?;
-                    // lint:allow(L1, c < be <= n1 == x.nrows() per the dimension check above)
-                    let untouched = (bs..be).all(|c| (0..k).all(|j| x[(c, j)] == 0.0));
-                    if untouched {
-                        continue;
-                    }
-                    let pair = pager.fetch(b)?;
-                    let m = pair.factor(f);
-                    if m.ncols() != be - bs {
-                        return Err(corrupt_shard(b, "decoded dimension mismatch"));
-                    }
-                    // Mirrors `spmm_acc_inner`: matrix columns outer (in
-                    // ascending global order), right-hand sides inner.
-                    for c in 0..(be - bs) {
-                        let (rows, vals) = m.col(c);
-                        if rows.is_empty() {
-                            continue;
-                        }
-                        for j in 0..k {
-                            // lint:allow(L1, bs + c < be <= n1 == x.nrows() per the dimension check above)
-                            let xc = x[(bs + c, j)];
-                            if xc == 0.0 {
-                                continue;
-                            }
-                            let yj = y.col_mut(j);
-                            for (&r, &v) in rows.iter().zip(vals) {
-                                // lint:allow(L1, r < block dim per the decoded dimension check, so bs + r < be <= n1)
-                                yj[bs + r] += v * xc;
-                            }
-                        }
-                    }
-                }
-                Ok(())
+                self.sweep(pager, x.data(), tmp.data_mut(), y.data_mut())
             }
         }
     }
 
-    /// Column-range-restricted scatter for the pruned top-k path:
-    /// `y[bs..be] = F[:, bs..be] · x[bs..be]` for block `b` spanning
-    /// `[bs, be)`. Mirrors the resident `scatter_block` exactly — zero
-    /// the destination, accumulate columns ascending, skip exact-zero
-    /// inputs.
-    pub(crate) fn scatter_block(
+    /// The paged sweep: every block in ascending order, each through
+    /// [`SpokeFactors::solve_diag_block`]. The blocks tile `[0, n₁)`, so
+    /// every entry of `tmp` and `y` is written.
+    fn sweep(&self, pager: &BlockPager, x: &[f64], tmp: &mut [f64], y: &mut [f64]) -> Result<()> {
+        for b in 0..pager.num_blocks() {
+            let (bs, be) = pager.block_range(b)?;
+            self.solve_diag_block(b, bs, be, x, tmp, y)?;
+        }
+        Ok(())
+    }
+
+    /// `H₁₁⁻¹` restricted to diagonal block `b` spanning `B = [bs, be)`:
+    /// `tmp[B] = L₁⁻¹[B]·x[B]`, then `y[B] = U₁⁻¹[B]·tmp[B]`, for every
+    /// right-hand side of the column-major `x`, `tmp`, `y` (`n₁` rows
+    /// each). Entries outside `B` are untouched. Because the factors are
+    /// block diagonal, this replays exactly the additions the
+    /// whole-matrix kernels make into `B`'s rows (module docs). The
+    /// paged arm skips the fetch when `x[B]` is entirely zero and
+    /// otherwise fetches the block once for both factors.
+    pub(crate) fn solve_diag_block(
         &self,
-        f: Factor,
         b: usize,
         bs: usize,
         be: usize,
         x: &[f64],
+        tmp: &mut [f64],
         y: &mut [f64],
     ) -> Result<()> {
-        let range_err = || Error::InvalidStructure("top-k block range out of bounds".into());
-        y.get_mut(bs..be).ok_or_else(range_err)?.fill(0.0);
-        let xb = x.get(bs..be).ok_or_else(range_err)?;
+        let n1 = self.dim();
+        if bs > be || be > n1 || n1 == 0 || !x.len().is_multiple_of(n1) {
+            return Err(Error::InvalidStructure(format!(
+                "spoke block [{bs}, {be}) out of bounds for {n1} rows"
+            )));
+        }
+        if tmp.len() != x.len() || y.len() != x.len() {
+            return Err(Error::DimensionMismatch {
+                op: "spoke block solve",
+                lhs: (x.len(), 1),
+                rhs: (tmp.len(), y.len()),
+            });
+        }
         match self {
             SpokeFactors::Resident { l1_inv, u1_inv } => {
-                let m = match f {
-                    Factor::L1 => l1_inv,
-                    Factor::U1 => u1_inv,
-                };
-                for (off, &xc) in xb.iter().enumerate() {
-                    if xc == 0.0 {
-                        continue;
-                    }
-                    let (rows, vals) = m.col(bs + off);
-                    for (&r, &v) in rows.iter().zip(vals) {
-                        if let Some(slot) = y.get_mut(r) {
-                            *slot += v * xc;
-                        }
-                    }
-                }
-                Ok(())
+                apply_diag_block(l1_inv, 0, bs, be, n1, x, tmp);
+                apply_diag_block(u1_inv, 0, bs, be, n1, tmp, y);
             }
             SpokeFactors::Paged { pager } => {
-                if xb.iter().all(|&v| v == 0.0) {
+                let untouched = x
+                    .chunks_exact(n1)
+                    .all(|xj| xj.get(bs..be).is_some_and(|s| s.iter().all(|&v| v == 0.0)));
+                if untouched {
+                    // The whole-matrix kernels skip every zero input,
+                    // so the block contributes nothing: zero its rows
+                    // without fetching it.
+                    zero_rows(tmp, n1, bs, be);
+                    zero_rows(y, n1, bs, be);
                     return Ok(());
                 }
                 let pair = pager.fetch(b)?;
-                let m = pair.factor(f);
-                if m.ncols() != be - bs {
+                if pair.dim() != be - bs {
                     return Err(corrupt_shard(b, "decoded dimension mismatch"));
                 }
-                for (off, &xc) in xb.iter().enumerate() {
-                    if xc == 0.0 {
-                        continue;
-                    }
-                    let (rows, vals) = m.col(off);
-                    for (&r, &v) in rows.iter().zip(vals) {
-                        if let Some(slot) = y.get_mut(bs + r) {
-                            *slot += v * xc;
-                        }
-                    }
-                }
-                Ok(())
+                apply_diag_block(&pair.l1, bs, bs, be, n1, x, tmp);
+                apply_diag_block(&pair.u1, bs, bs, be, n1, tmp, y);
             }
+        }
+        Ok(())
+    }
+}
+
+/// `y[B] = M_B·x[B]` on diagonal block `B = [bs, be)` for every
+/// right-hand side of the column-major `x`, `y` (`n` rows each, `n > 0`,
+/// `be <= n`). `shift` is the block's offset inside `m`: `0` for a
+/// whole block-diagonal matrix, `bs` for a block-local one. Columns
+/// ascend, right-hand sides are inner and exact-zero inputs are skipped:
+/// per output entry, the additions of `CscMatrix::matvec_into` and
+/// `spmm_into` in their order.
+fn apply_diag_block(
+    m: &CscMatrix,
+    shift: usize,
+    bs: usize,
+    be: usize,
+    n: usize,
+    x: &[f64],
+    y: &mut [f64],
+) {
+    zero_rows(y, n, bs, be);
+    for c in bs..be.min(m.ncols() + shift) {
+        let (rows, vals) = m.col(c - shift);
+        if rows.is_empty() {
+            continue;
+        }
+        for (xj, yj) in x.chunks_exact(n).zip(y.chunks_exact_mut(n)) {
+            let xc = xj.get(c).copied().unwrap_or(0.0);
+            if xc == 0.0 {
+                continue;
+            }
+            for (&r, &v) in rows.iter().zip(vals) {
+                if let Some(slot) = yj.get_mut(r + shift) {
+                    *slot += v * xc;
+                }
+            }
+        }
+    }
+}
+
+/// Zeroes rows `[bs, be)` of every column of the column-major `buf`
+/// (`n` rows each, `n > 0`).
+fn zero_rows(buf: &mut [f64], n: usize, bs: usize, be: usize) {
+    for col in buf.chunks_exact_mut(n) {
+        if let Some(rows) = col.get_mut(bs..be) {
+            rows.fill(0.0);
         }
     }
 }

@@ -12,7 +12,6 @@
 //! paper's query complexity `O(Σ n₁ᵢ² + n₂² + min(n₁n₂, m))` (Theorem 3).
 
 use crate::engine::{BlockWorkspace, QueryWorkspace};
-use crate::paging::Factor;
 use crate::precompute::Bear;
 use crate::rwr::validate_distribution;
 use crate::solver::RwrSolver;
@@ -80,8 +79,7 @@ impl Bear {
         let (q1, q2) = ws.q_perm.split_at(self.n1);
 
         // r₂ = c U₂⁻¹ L₂⁻¹ (q₂ − H₂₁ U₁⁻¹ L₁⁻¹ q₁)
-        self.spokes.matvec_into(Factor::L1, q1, &mut ws.t1)?;
-        self.spokes.matvec_into(Factor::U1, &ws.t1, &mut ws.t2)?;
+        self.spokes.solve_into(q1, &mut ws.t1, &mut ws.t2)?;
         self.h21.matvec_into(&ws.t2, &mut ws.t3)?;
         for (t, &qv) in ws.t3.iter_mut().zip(q2) {
             *t = qv - *t;
@@ -98,8 +96,7 @@ impl Bear {
         for (t, &qv) in ws.t1.iter_mut().zip(q1) {
             *t = self.c * qv - *t;
         }
-        self.spokes.matvec_into(Factor::L1, &ws.t1, &mut ws.t2)?;
-        self.spokes.matvec_into(Factor::U1, &ws.t2, r1)?;
+        self.spokes.solve_into(&ws.t1, &mut ws.t2, r1)?;
 
         // Map back to the original node ids.
         self.perm.unpermute_vec_into(&ws.r, out)
@@ -165,8 +162,7 @@ impl Bear {
         }
 
         // r₂ = c U₂⁻¹ L₂⁻¹ (q₂ − H₂₁ U₁⁻¹ L₁⁻¹ q₁), one column per seed.
-        self.spokes.spmm_into(Factor::L1, &ws.q1, &mut ws.t1)?;
-        self.spokes.spmm_into(Factor::U1, &ws.t1, &mut ws.t2)?;
+        self.spokes.solve_block_into(&ws.q1, &mut ws.t1, &mut ws.t2)?;
         self.h21.spmm_into(&ws.t2, &mut ws.t3)?;
         for (t, &qv) in ws.t3.data_mut().iter_mut().zip(ws.q2.data()) {
             *t = qv - *t;
@@ -177,13 +173,14 @@ impl Bear {
             *r = self.c * v;
         }
 
-        // r₁ = U₁⁻¹ L₁⁻¹ (c q₁ − H₁₂ r₂); `t1` holds the finished r₁.
+        // r₁ = U₁⁻¹ L₁⁻¹ (c q₁ − H₁₂ r₂). The right-hand side is formed
+        // in `q1`, which is dead from here on, so `t1` can receive the
+        // finished r₁.
         self.h12.spmm_into(&ws.r2, &mut ws.t1)?;
-        for (t, &qv) in ws.t1.data_mut().iter_mut().zip(ws.q1.data()) {
-            *t = self.c * qv - *t;
+        for (qv, &t) in ws.q1.data_mut().iter_mut().zip(ws.t1.data()) {
+            *qv = self.c * *qv - t;
         }
-        self.spokes.spmm_into(Factor::L1, &ws.t1, &mut ws.t2)?;
-        self.spokes.spmm_into(Factor::U1, &ws.t2, &mut ws.t1)?;
+        self.spokes.solve_block_into(&ws.q1, &mut ws.t2, &mut ws.t1)?;
 
         // Map each column back to the original node ids.
         for j in 0..k {

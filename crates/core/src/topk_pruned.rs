@@ -89,7 +89,7 @@
 use std::collections::BinaryHeap;
 
 use crate::engine::QueryWorkspace;
-use crate::paging::{Factor, SpokeFactors};
+use crate::paging::SpokeFactors;
 use crate::precompute::Bear;
 use crate::topk::{score_desc, top_k_excluding_seed, ScoredNode};
 use bear_sparse::{Error, Result};
@@ -565,8 +565,7 @@ impl Bear {
         // Hub sweep — the exact kernel sequence of
         // `query_distribution_into`, so `r₂` is bit-identical to the
         // full solve's hub scores.
-        self.spokes.matvec_into(Factor::L1, q1, &mut ws.t1)?;
-        self.spokes.matvec_into(Factor::U1, &ws.t1, &mut ws.t2)?;
+        self.spokes.solve_into(q1, &mut ws.t1, &mut ws.t2)?;
         self.h21.matvec_into(&ws.t2, &mut ws.t3)?;
         for (t, &qv) in ws.t3.iter_mut().zip(q2) {
             *t = qv - *t;
@@ -724,8 +723,7 @@ impl Bear {
         effective_k: usize,
         heap: &mut BinaryHeap<HeapItem>,
     ) -> Result<()> {
-        self.spokes.scatter_block(Factor::L1, b, bs, be, t1, t2)?;
-        self.spokes.scatter_block(Factor::U1, b, bs, be, t2, r1)?;
+        self.spokes.solve_diag_block(b, bs, be, t1, t2, r1)?;
         let r1b = r1
             .get(bs..be)
             .ok_or_else(|| Error::InvalidStructure("top-k block range out of bounds".into()))?;

@@ -6,7 +6,7 @@
 //! ```text
 //!            accept thread                 connection workers
 //!  TcpListener ──────────▶ JobQueue<TcpStream> ──────────▶ handle_connection
-//!  (nonblocking poll)      (bounded backlog;               (parse → route →
+//!  (blocking accept)       (bounded backlog;               (parse → route →
 //!                           overflow ⇒ 503 + close)         QueryEngine → write)
 //! ```
 //!
@@ -218,7 +218,13 @@ impl ServerHandle {
         self.ctx.shutdown.store(true, Ordering::SeqCst);
         self.conns.close();
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            // The accept thread blocks in `accept`; a loopback
+            // connection wakes it to observe `shutdown`. If the wake
+            // cannot connect, detach the thread rather than hang in
+            // `join`, as stragglers are detached below.
+            if wake_accept(self.addr) {
+                let _ = t.join();
+            }
         }
         let total = self.workers.len() as u64;
         let deadline = std::time::Instant::now() + grace;
@@ -274,9 +280,6 @@ impl Server {
         config.validate()?;
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| Error::InvalidStructure(format!("bind {}: {e}", config.addr)))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| Error::InvalidStructure(format!("set_nonblocking: {e}")))?;
         let addr = listener
             .local_addr()
             .map_err(|e| Error::InvalidStructure(format!("local_addr: {e}")))?;
@@ -322,11 +325,30 @@ impl Server {
     }
 }
 
-/// Polls the nonblocking listener so shutdown is observed within one
-/// tick even when no connection ever arrives.
+/// Connects to the server's own listener so a blocked `accept`
+/// returns. An unspecified bind address (`0.0.0.0`, `::`) is reached
+/// over loopback. Returns whether the connection was made.
+fn wake_accept(addr: SocketAddr) -> bool {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    TcpStream::connect_timeout(&target, Duration::from_secs(1)).is_ok()
+}
+
+/// Blocks in `accept` until a connection arrives. [`ServerHandle`]'s
+/// stop sets `shutdown` before waking this loop with a self-connect, so
+/// the connection that returns after it is dropped, not queued.
 fn accept_loop(listener: &TcpListener, conns: &JobQueue<TcpStream>, ctx: &ServerCtx) {
-    while !ctx.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if ctx.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 if conns.push(stream).is_ok() {
                     ctx.metrics.accepted_connections.fetch_add(1, Ordering::Relaxed);
@@ -338,9 +360,8 @@ fn accept_loop(listener: &TcpListener, conns: &JobQueue<TcpStream>, ctx: &Server
                     ctx.metrics.rejected_connections.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // Transient accept failures (e.g. out of descriptors):
+            // back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }

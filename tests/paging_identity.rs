@@ -9,9 +9,12 @@
 //! is a pure space/time trade — it may never perturb a single bit of
 //! an answer.
 
-use bear_core::{Bear, BearConfig, LoadOptions};
+use bear_core::{
+    Bear, BearConfig, BlockWorkspace, LoadOptions, PagerStats, QueryWorkspace, TopKPruneOptions,
+};
 use bear_graph::Graph;
 use bear_sparse::mem::MemBudget;
+use bear_sparse::DenseBlock;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -196,6 +199,115 @@ fn forced_mid_query_evictions_stay_bit_identical() {
         stats.evictions,
         "pager counters must reconcile under contention"
     );
+
+    drop(paged);
+    std::fs::remove_file(&path).ok();
+}
+
+/// Expected `(fetches, misses)` of a block visit sequence under a
+/// one-byte cap, where only the block fetched last stays resident.
+/// `last` carries that block from one call to the next.
+fn one_block_cache(visits: &[usize], last: &mut Option<usize>) -> (u64, u64) {
+    let mut misses = 0;
+    for &b in visits {
+        if *last != Some(b) {
+            misses += 1;
+        }
+        *last = Some(b);
+    }
+    (visits.len() as u64, misses)
+}
+
+/// `(fetches, misses)` the pager counted between two snapshots.
+fn faults(before: PagerStats, after: PagerStats) -> (u64, u64) {
+    let misses = after.misses - before.misses;
+    (after.hits - before.hits + misses, misses)
+}
+
+/// Each `H₁₁⁻¹ = U₁⁻¹L₁⁻¹` application fetches every spoke block whose
+/// input slice is nonzero exactly once, for both factors at once, and
+/// skips the rest. Under a one-byte cap every such fetch faults unless
+/// the same block was the one fetched just before. On `blocky_graph`
+/// the first application touches only the seed's block (none for a
+/// hub seed) and the second touches every block, since every spoke
+/// has a hub neighbour.
+#[test]
+fn each_spoke_solve_faults_every_touched_block_once() {
+    let g = blocky_graph();
+    let n = g.num_nodes();
+    let reference = Bear::new(&g, &BearConfig::exact(0.05)).unwrap();
+    let path = scratch_index();
+    reference.save_v3(&path).unwrap();
+    let paged = Bear::load(&path).unwrap();
+    let pager = paged.pager().expect("v3 load is paged");
+    pager.set_budget(Some(1)).unwrap();
+    let nb = pager.num_blocks();
+    assert!(nb >= 2, "test graph must shard into multiple blocks");
+    let block_of = |seed: usize| -> Option<usize> {
+        let pos = paged.ordering().new_of(seed);
+        (0..nb).find(|&b| pager.block_range(b).is_ok_and(|(bs, be)| (bs..be).contains(&pos)))
+    };
+
+    // Build the lazy top-k bound tables (one pass over every block),
+    // then leave a known block resident.
+    paged.query_top_k_pruned(0, 5).unwrap();
+    pager.fetch(0).unwrap();
+    let mut last = Some(0);
+
+    let mut ws = QueryWorkspace::for_bear(&paged);
+    let mut out = vec![0.0; n];
+    for seed in 0..n {
+        let mut visits: Vec<usize> = block_of(seed).into_iter().collect();
+        visits.extend(0..nb);
+        let before = pager.stats();
+        paged.query_into(seed, &mut ws, &mut out).unwrap();
+        let got = faults(before, pager.stats());
+        assert_eq!(got, one_block_cache(&visits, &mut last), "query_into seed {seed}");
+        assert_bits_eq(&out, &reference.query(seed).unwrap(), &format!("query_into seed {seed}"));
+    }
+
+    let mut bws = BlockWorkspace::for_bear(&paged);
+    for seed in 0..n {
+        let seeds = [seed, (seed + 5) % n, (seed + 11) % n];
+        let mut visits: Vec<usize> = seeds.iter().filter_map(|&s| block_of(s)).collect();
+        visits.sort_unstable();
+        visits.dedup();
+        visits.extend(0..nb);
+        let mut block_out = DenseBlock::zeros(n, seeds.len());
+        let before = pager.stats();
+        paged.query_block_into(&seeds, &mut bws, &mut block_out).unwrap();
+        let got = faults(before, pager.stats());
+        assert_eq!(got, one_block_cache(&visits, &mut last), "query_block_into seeds {seeds:?}");
+        for (j, &s) in seeds.iter().enumerate() {
+            let want = reference.query(s).unwrap();
+            assert_bits_eq(block_out.col(j), &want, &format!("query_block_into seed {s}"));
+        }
+    }
+
+    // The pruned path resolves blocks loosest bound first, an order the
+    // test does not know: only its first resolved block may hit, and a
+    // known block is made resident again after each query.
+    for seed in 0..n {
+        let hub_sweep: Vec<usize> = block_of(seed).into_iter().collect();
+        let (sweep_fetches, sweep_misses) = one_block_cache(&hub_sweep, &mut last);
+        let before = pager.stats();
+        let (got_k, stats) =
+            paged.query_top_k_pruned_with(seed, 5, &TopKPruneOptions::default()).unwrap();
+        let (fetches, misses) = faults(before, pager.stats());
+        let resolved = stats.blocks_resolved as u64;
+        assert_eq!(fetches, sweep_fetches + resolved, "top-k seed {seed}: one fetch per block");
+        assert!(
+            (sweep_misses + resolved.saturating_sub(1)..=sweep_misses + resolved).contains(&misses),
+            "top-k seed {seed}: {misses} misses for {resolved} resolved blocks"
+        );
+        pager.fetch(0).unwrap();
+        last = Some(0);
+        let want_k = reference.query_top_k_pruned(seed, 5).unwrap();
+        let bits = |v: &[bear_core::ScoredNode]| -> Vec<(usize, u64)> {
+            v.iter().map(|s| (s.node, s.score.to_bits())).collect()
+        };
+        assert_eq!(bits(&got_k), bits(&want_k), "top-k seed {seed}");
+    }
 
     drop(paged);
     std::fs::remove_file(&path).ok();
