@@ -1,8 +1,8 @@
 //! Criterion benchmark: batch query throughput of the persistent
 //! [`QueryEngine`] pool against the legacy per-call path.
 //!
-//! The legacy `Bear::query_batch` spawns a fresh scoped-thread team and
-//! allocates every workspace and result vector per call; the engine keeps
+//! The legacy path spawns a fresh scoped-thread team and allocates
+//! every workspace and result vector per call; the engine keeps
 //! its workers and per-worker buffers alive across calls. On a hub-spoke
 //! graph of ≥ 10k nodes the engine must be strictly faster — this bench
 //! is the acceptance check for that claim.
@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// The pre-engine batch path, reproduced for comparison: a scoped thread
 /// team is spawned per call and every query goes through the allocating
 /// [`Bear::query`] (fresh workspace + temporaries each time), which is
-/// what `query_batch` compiled to before the persistent pool existed.
+/// what a batch cost before the persistent pool existed.
 fn legacy_query_batch(bear: &Bear, seeds: &[usize], threads: usize) -> Vec<Vec<f64>> {
     let threads = threads.max(1);
     let chunk = seeds.len().div_ceil(threads);

@@ -19,7 +19,7 @@
 use crate::precompute::{Bear, BearConfig};
 use crate::rwr::{build_h, Normalization};
 use bear_graph::Graph;
-use bear_sparse::{CooMatrix, Error, Result, SparseLu};
+use bear_sparse::{CooMatrix, DenseBlock, Error, Result, SparseLu};
 
 /// Which update path an edge insertion took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,15 +199,17 @@ impl DynamicBear {
         // keeps the code auditable; the dominant cost is the refactor
         // anyway. S = H₂₂ − H₂₁ U₁⁻¹ L₁⁻¹ H₁₂ column by column.
         let mut s_coo = CooMatrix::new(n2, n2);
-        let mut tmp = vec![0.0f64; n1];
-        let mut t = vec![0.0f64; n1];
+        let mut x = DenseBlock::zeros(n1, 1);
+        let mut tmp = DenseBlock::zeros(n1, 1);
+        let mut t = DenseBlock::zeros(n1, 1);
+        let mut y = vec![0.0f64; n2];
         for col in 0..n2 {
-            let mut dense_col = vec![0.0f64; n1];
+            x.fill(0.0);
             for &(r, v) in &self.h12_cols[col] {
-                dense_col[r] = v;
+                x[(r, 0)] = v;
             }
-            self.bear.spokes.solve_into(&dense_col, &mut tmp, &mut t)?;
-            let y = self.bear.h21.matvec(&t)?;
+            self.bear.spokes.solve_block_into(&x, &mut tmp, &mut t)?;
+            self.bear.h21.matvec_into(t.col(0), &mut y)?;
             let mut s_col = vec![0.0f64; n2];
             for &(r, v) in &self.h22_cols[col] {
                 s_col[r] = v;

@@ -4,29 +4,33 @@
 //! sparse matrix–vector products (Algorithm 2). This module turns that
 //! per-query cost into a serving path fit for sustained traffic:
 //!
-//! * [`QueryWorkspace`] preallocates every intermediate buffer the block
-//!   elimination sweeps need (`q`, `q_perm`, `t1..t4`, `r`), sized from
-//!   the [`Bear`] partition, so the steady-state compute path performs no
-//!   heap allocation — the only allocation per answered query is the
-//!   result vector handed to the caller, and a cache hit avoids even that
-//!   by sharing an `Arc`.
+//! * [`QueryWorkspace`] preallocates every intermediate buffer of the
+//!   block-elimination sweeps as column-major blocks sized from the
+//!   [`Bear`] partition and reshaped in place to each query's width, so
+//!   the steady-state compute path performs no heap allocation — the
+//!   only allocation per answered query is the result vector handed to
+//!   the caller, and a cache hit avoids even that by sharing an `Arc`.
 //! * [`QueryEngine`] owns a persistent worker pool: threads are spawned
-//!   once at construction and fed seeds over a shared job queue,
-//!   replacing the scoped-thread fan-out that previously re-spawned
-//!   workers on every `query_batch` call. Each worker keeps its own
-//!   workspace for its whole lifetime. The submitting thread *assists*:
-//!   while waiting for replies it drains the same queue with the
-//!   engine's spare workspace, so a small pool (or a single-core host)
-//!   answers a batch inline instead of ping-ponging between threads.
+//!   once at construction and fed jobs over a shared queue. Each worker
+//!   keeps one workspace for its whole lifetime and answers what it
+//!   drains through the engine's one job path, which coalesces every
+//!   full-vector job into one blocked solve and answers pruned top-k
+//!   jobs one at a time. The submitting thread *assists*: while waiting
+//!   for replies it drains the same queue through the same path with
+//!   the engine's spare workspace, so a small pool (or a single-core
+//!   host) answers a batch inline instead of ping-ponging between
+//!   threads.
 //! * An optional bounded LRU cache memoizes full score vectors and top-k
 //!   answers keyed by seed, motivated by the skew of real query traffic
 //!   (a few hub seeds dominate).
 //! * [`Metrics`] tracks query count, cache hit rate, and latency
 //!   percentiles via a fixed-bucket log₂ histogram — no dependencies.
 //!
-//! Results are bit-identical to sequential [`Bear::query`]: workers run
-//! the exact same floating-point operations in the exact same order
-//! (`Bear::query_into` is the single implementation behind both paths).
+//! Results are bit-identical to sequential [`Bear::query`]: Algorithm 2
+//! is implemented once, as stages over a block of right-hand sides that
+//! every query path calls, and the blocked kernels make the same
+//! floating-point operations in the same order per column as the
+//! width-1 kernels.
 //!
 //! # Concurrency audit
 //!
@@ -53,66 +57,25 @@ pub use serving::{
     QueryOptions, Served, TopKServed, TopKStrategy,
 };
 
-/// Preallocated buffers for one query's block-elimination sweeps.
+/// Preallocated buffers for Algorithm 2's block-elimination sweeps
+/// over a block of `k` right-hand sides, one column each.
 ///
-/// Sized once from a [`Bear`] partition (`n1` spokes, `n2` hubs); after
-/// construction, answering a query through [`Bear::query_into`] touches
-/// only these buffers and the caller's output slice.
+/// Sized from a [`Bear`] partition (`n1` spokes, `n2` hubs); every query
+/// path ([`Bear::query_into`], [`Bear::query_distribution_into`],
+/// [`Bear::query_block_into`], the pruned top-k search) runs in one of
+/// these and touches only it and the caller's output. Single-seed paths
+/// use width 1. Blocks are reshaped in place ([`DenseBlock::reset`]),
+/// keeping their backing allocations, so one workspace serves every
+/// width and a serving worker allocates nothing for it in steady state.
 pub struct QueryWorkspace {
-    /// One-hot query vector in original node ids (kept zeroed between
-    /// queries; `query_into` sets and clears the seed entry).
-    pub(crate) q: Vec<f64>,
-    /// `q` moved to the SlashBurn ordering (length `n`).
-    pub(crate) q_perm: Vec<f64>,
-    /// Spoke-block scratch (length `n1`).
-    pub(crate) t1: Vec<f64>,
-    /// Spoke-block scratch (length `n1`).
-    pub(crate) t2: Vec<f64>,
-    /// Hub-block scratch (length `n2`).
-    pub(crate) t3: Vec<f64>,
-    /// Hub-block scratch (length `n2`).
-    pub(crate) t4: Vec<f64>,
-    /// Assembled result in the reordered index space (length `n`).
+    /// Result-assembly scratch in the reordered index space (length `n`).
     pub(crate) r: Vec<f64>,
-}
-
-impl QueryWorkspace {
-    /// Buffers sized for `bear`'s partition.
-    pub fn for_bear(bear: &Bear) -> Self {
-        let n = bear.num_nodes();
-        QueryWorkspace {
-            q: vec![0.0; n],
-            q_perm: vec![0.0; n],
-            t1: vec![0.0; bear.n1],
-            t2: vec![0.0; bear.n1],
-            t3: vec![0.0; bear.n2],
-            t4: vec![0.0; bear.n2],
-            r: vec![0.0; n],
-        }
-    }
-}
-
-/// Preallocated buffers for a blocked multi-seed query
-/// ([`Bear::query_block_into`]): the multi-RHS counterpart of
-/// [`QueryWorkspace`], with each scratch vector widened to a column-major
-/// [`DenseBlock`] holding one column per seed.
-///
-/// The workspace is reusable across batches of different widths — blocks
-/// are reshaped in place ([`DenseBlock::reset`]), keeping their backing
-/// allocations, so a serving worker that coalesces variable-size batches
-/// allocates nothing in steady state.
-pub struct BlockWorkspace {
-    /// One-hot scratch in original node ids (kept zeroed between seeds).
-    pub(crate) q: Vec<f64>,
-    /// Per-seed permutation scratch (length `n`).
-    pub(crate) q_perm: Vec<f64>,
-    /// Per-seed result-assembly scratch (length `n`).
-    pub(crate) r: Vec<f64>,
-    /// Permuted seed columns, spoke part (`n1 × k`).
+    /// Permuted right-hand sides, spoke part (`n1 × k`); holds the spoke
+    /// right-hand side `t₁ = c·q₁ − H₁₂r₂` once the hub sweep is done.
     pub(crate) q1: DenseBlock,
-    /// Permuted seed columns, hub part (`n2 × k`).
+    /// Permuted right-hand sides, hub part (`n2 × k`).
     pub(crate) q2: DenseBlock,
-    /// Spoke-block scratch (`n1 × k`).
+    /// Spoke-block scratch (`n1 × k`); holds `r₁` after the spoke solve.
     pub(crate) t1: DenseBlock,
     /// Spoke-block scratch (`n1 × k`).
     pub(crate) t2: DenseBlock,
@@ -124,15 +87,17 @@ pub struct BlockWorkspace {
     pub(crate) r2: DenseBlock,
 }
 
-impl BlockWorkspace {
+/// The name the blocked query path used for [`QueryWorkspace`] before
+/// the two workspace types were merged; kept so existing callers of
+/// [`Bear::query_block_into`] compile unchanged.
+pub type BlockWorkspace = QueryWorkspace;
+
+impl QueryWorkspace {
     /// Buffers sized for `bear`'s partition, starting at width zero; the
-    /// first [`Bear::query_block_into`] call widens them to its batch.
+    /// first query widens them to its block.
     pub fn for_bear(bear: &Bear) -> Self {
-        let n = bear.num_nodes();
-        BlockWorkspace {
-            q: vec![0.0; n],
-            q_perm: vec![0.0; n],
-            r: vec![0.0; n],
+        QueryWorkspace {
+            r: vec![0.0; bear.num_nodes()],
             q1: DenseBlock::zeros(bear.n1, 0),
             q2: DenseBlock::zeros(bear.n2, 0),
             t1: DenseBlock::zeros(bear.n1, 0),
@@ -144,7 +109,7 @@ impl BlockWorkspace {
     }
 
     /// Reshapes every block to width `k` for `bear`'s partition, reusing
-    /// backing allocations.
+    /// backing allocations. Contents are unspecified afterwards.
     pub(crate) fn ensure_width(&mut self, bear: &Bear, k: usize) {
         if self.q1.ncols() == k && self.q1.nrows() == bear.n1 && self.q2.nrows() == bear.n2 {
             return;

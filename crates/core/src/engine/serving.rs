@@ -46,7 +46,7 @@
 
 use super::metrics::Metrics;
 use super::queue::JobQueue;
-use super::{BlockWorkspace, MetricsSnapshot, QueryWorkspace};
+use super::{MetricsSnapshot, QueryWorkspace};
 use crate::fallback::{DegradedReason, FallbackSolver};
 use crate::precompute::Bear;
 use crate::topk::{top_k_excluding_seed, ScoredNode};
@@ -472,9 +472,9 @@ pub struct QueryEngine {
     bear: Arc<Bear>,
     queue: Arc<JobQueue<Job>>,
     workers: Vec<JoinHandle<()>>,
-    /// Spare workspace for caller-assist: the thread submitting a batch
+    /// Spare scratch for caller-assist: the thread submitting a batch
     /// borrows this to drain the job queue itself while waiting.
-    caller_ws: Mutex<QueryWorkspace>,
+    caller_scratch: Mutex<JobScratch>,
     full_cache: Option<Mutex<FullScoreCache>>,
     topk_cache: Option<Mutex<TopKCache>>,
     metrics: Arc<Metrics>,
@@ -564,7 +564,7 @@ impl QueryEngine {
         }
         let caches_on = config.cache_capacity > 0;
         Ok(QueryEngine {
-            caller_ws: Mutex::new(QueryWorkspace::for_bear(&bear)),
+            caller_scratch: Mutex::new(JobScratch::new(&bear, 1)),
             bear,
             queue,
             workers,
@@ -665,17 +665,14 @@ impl QueryEngine {
         loop {
             match self.try_admit(make_job(), deadline) {
                 Err(Error::QueueFull { capacity }) if deadline.is_none() => {
-                    let Ok(mut ws) = self.caller_ws.try_lock() else {
+                    let Ok(mut scratch) = self.caller_scratch.try_lock() else {
                         self.metrics.record_queue_rejection();
                         return Err(Error::QueueFull { capacity });
                     };
-                    match self.queue.try_pop() {
-                        Some(job) => {
-                            run_job(&self.bear, &mut ws, job, &self.metrics, self.topk_strategy)
-                        }
-                        // A worker drained the queue between the rejection
-                        // and our pop; the retry will find space.
-                        None => std::thread::yield_now(),
+                    // Nothing popped: a worker drained the queue between
+                    // the rejection and our pop; the retry will find space.
+                    if !self.assist(&mut scratch) {
+                        std::thread::yield_now();
                     }
                 }
                 Err(e) => {
@@ -689,6 +686,15 @@ impl QueryEngine {
                 Ok(()) => return Ok(()),
             }
         }
+    }
+
+    /// Caller-assist: answers one queued job on the calling thread with
+    /// the spare scratch. Returns whether there was a job to answer.
+    fn assist(&self, scratch: &mut JobScratch) -> bool {
+        let Some(job) = self.queue.try_pop() else { return false };
+        scratch.jobs.push(job);
+        run_jobs(&self.bear, scratch, &self.metrics, self.topk_strategy);
+        true
     }
 
     /// Computes (or fetches) the full score vector for `seed`, without
@@ -730,10 +736,8 @@ impl QueryEngine {
         // set — inline work cannot be abandoned mid-compute, so it would
         // silently run the caller past its own budget.
         if deadline.is_none() {
-            if let Ok(mut ws) = self.caller_ws.try_lock() {
-                if let Some(job) = self.queue.try_pop() {
-                    run_job(&self.bear, &mut ws, job, &self.metrics, self.topk_strategy);
-                }
+            if let Ok(mut scratch) = self.caller_scratch.try_lock() {
+                self.assist(&mut scratch);
             }
         }
         let scores = self.wait_reply(&reply_rx, deadline, budget, &token)?.into_full()?;
@@ -790,10 +794,8 @@ impl QueryEngine {
             deadline,
         )?;
         if deadline.is_none() {
-            if let Ok(mut ws) = self.caller_ws.try_lock() {
-                if let Some(job) = self.queue.try_pop() {
-                    run_job(&self.bear, &mut ws, job, &self.metrics, self.topk_strategy);
-                }
+            if let Ok(mut scratch) = self.caller_scratch.try_lock() {
+                self.assist(&mut scratch);
             }
         }
         let nodes = self.wait_reply(&reply_rx, deadline, budget, &token)?.into_topk()?;
@@ -1034,7 +1036,8 @@ impl QueryEngine {
         // with no thread ping-pong; on a big pool it adds one worker.
         // Skipped under a deadline: inline work cannot be abandoned
         // mid-compute, so it would run the caller past its own budget.
-        let mut caller_ws = if deadline.is_none() { self.caller_ws.try_lock().ok() } else { None };
+        let mut caller_scratch =
+            if deadline.is_none() { self.caller_scratch.try_lock().ok() } else { None };
         let mut collected = 0usize;
         let finish = |engine: &Self,
                       slots: &mut [Option<Arc<Vec<f64>>>],
@@ -1065,9 +1068,8 @@ impl QueryEngine {
                 Err(TryRecvError::Empty) => {}
                 Err(TryRecvError::Disconnected) => return Err(Error::PoolShutDown),
             }
-            if let Some(ws) = caller_ws.as_deref_mut() {
-                if let Some(job) = self.queue.try_pop() {
-                    run_job(&self.bear, ws, job, &self.metrics, self.topk_strategy);
+            if let Some(scratch) = caller_scratch.as_deref_mut() {
+                if self.assist(scratch) {
                     continue;
                 }
             }
@@ -1148,13 +1150,35 @@ fn degraded_reason(e: &Error) -> Option<DegradedReason> {
     }
 }
 
+/// One thread's serving scratch: the query workspace plus a drained
+/// batch and its buffers, all reused across batches so steady-state
+/// serving allocates only the replies.
+struct JobScratch {
+    ws: QueryWorkspace,
+    /// The drained batch; [`run_jobs`] answers and empties it.
+    jobs: Vec<Job>,
+    seeds: Vec<usize>,
+    out: DenseBlock,
+}
+
+impl JobScratch {
+    fn new(bear: &Bear, block_width: usize) -> Self {
+        JobScratch {
+            ws: QueryWorkspace::for_bear(bear),
+            jobs: Vec::with_capacity(block_width),
+            seeds: Vec::with_capacity(block_width),
+            out: DenseBlock::zeros(bear.num_nodes(), 0),
+        }
+    }
+}
+
 /// Worker body: pull jobs until the queue closes. After each blocking
 /// pop, the worker *opportunistically* drains up to `block_width - 1`
-/// more jobs without waiting ([`JobQueue::try_pop`]) and answers the
-/// whole batch with one blocked multi-RHS solve — a lone job therefore
-/// never waits for company, and an idle queue degenerates to the plain
-/// one-job-at-a-time loop (width-1 solves take the `matvec` fallback, so
-/// coalescing costs nothing when there is nothing to coalesce).
+/// more jobs without waiting ([`JobQueue::try_pop`]) and answers them
+/// together ([`run_jobs`]) — a lone job therefore never waits for
+/// company, and an idle queue degenerates to one job at a time (width-1
+/// solves take the `matvec` kernels, so coalescing costs nothing when
+/// there is nothing to coalesce).
 fn worker_loop(
     bear: &Bear,
     queue: &JobQueue<Job>,
@@ -1162,79 +1186,50 @@ fn worker_loop(
     block_width: usize,
     topk_strategy: TopKStrategy,
 ) {
-    let mut ws = QueryWorkspace::for_bear(bear);
-    let mut block_ws = BlockWorkspace::for_bear(bear);
-    let mut jobs: Vec<Job> = Vec::with_capacity(block_width);
-    let mut live: Vec<Job> = Vec::with_capacity(block_width);
-    let mut seeds: Vec<usize> = Vec::with_capacity(block_width);
-    let mut out = DenseBlock::zeros(bear.num_nodes(), 0);
+    let mut scratch = JobScratch::new(bear, block_width);
     while let Some(job) = queue.pop() {
-        jobs.push(job);
-        while jobs.len() < block_width {
+        scratch.jobs.push(job);
+        while scratch.jobs.len() < block_width {
             match queue.try_pop() {
-                Some(next) => jobs.push(next),
+                Some(next) => scratch.jobs.push(next),
                 None => break,
             }
         }
-        // Top-k jobs answer solo — their pruned path is not block-shaped
-        // — while full jobs keep coalescing. (Order within a coalesced
-        // drain carries no ordering contract, so swap_remove is fine.)
-        let mut i = 0;
-        while i < jobs.len() {
-            if matches!(jobs.get(i).map(|j| j.kind), Some(JobKind::TopK { .. })) {
-                let job = jobs.swap_remove(i);
-                run_job(bear, &mut ws, job, metrics, topk_strategy);
-            } else {
-                i += 1;
-            }
-        }
-        // One job buffered: run it solo (pop cannot miss — the job was
-        // pushed just above, and this `if let` keeps that a non-panic).
-        if jobs.len() == 1 {
-            if let Some(job) = jobs.pop() {
-                run_job(bear, &mut ws, job, metrics, topk_strategy);
-            }
-        } else if !jobs.is_empty() {
-            run_block(bear, &mut block_ws, &mut jobs, &mut live, &mut seeds, &mut out, metrics);
-        }
-        jobs.clear();
+        run_jobs(bear, &mut scratch, metrics, topk_strategy);
     }
 }
 
-/// Sheds `job` when its deadline already passed or its caller cancelled
-/// (replying with the matching typed error); hands it back otherwise.
+/// Sheds `job` when its deadline already passed or its caller cancelled,
+/// replying with the matching typed error; returns whether it did.
 /// Computing an answer nobody can use anymore only starves the queries
 /// still inside their budget.
-fn shed_if_dead(job: Job, metrics: &Metrics) -> Option<Job> {
+fn shed_if_dead(job: &Job, metrics: &Metrics) -> bool {
     if job.deadline.is_some_and(|d| Instant::now() >= d) {
         metrics.record_shed();
         metrics.record_timeout();
         let _ = job
             .reply
             .send((job.tag, Err(Error::Timeout { budget: job.budget.unwrap_or_default() })));
-        return None;
+        return true;
     }
     if job.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
         metrics.record_shed();
         let _ = job.reply.send((job.tag, Err(Error::Cancelled)));
-        return None;
+        return true;
     }
-    Some(job)
+    false
 }
 
-/// Answers one job with the given workspace — the freshly allocated
-/// result vector is the single allocation per query — converting panics
-/// into [`Error::WorkerPanicked`] so the pool (and assisting callers)
-/// survive poisoned inputs. Jobs whose deadline already passed, or whose
-/// caller cancelled, are shed without computing. Shared by pool workers
-/// and caller-assist.
-fn run_job(
-    bear: &Bear,
-    ws: &mut QueryWorkspace,
-    job: Job,
-    metrics: &Metrics,
-    topk_strategy: TopKStrategy,
-) {
+/// Answers the drained batch in `scratch.jobs`, leaving it empty; shared
+/// by pool workers and caller-assist. Dead jobs (expired deadline,
+/// cancelled caller) are shed without computing. Pruned top-k jobs are
+/// answered one at a time — the pruned search is not block-shaped.
+/// Every other job (full vectors, and top-k under
+/// [`TopKStrategy::Full`], selected from its own column) shares one
+/// [`Bear::query_block_into`] at whatever width survives. Panics become
+/// [`Error::WorkerPanicked`] for the pruned job or the block that hit
+/// them, so the pool (and assisting callers) survive poisoned inputs.
+fn run_jobs(bear: &Bear, scratch: &mut JobScratch, metrics: &Metrics, topk_strategy: TopKStrategy) {
     // Failpoint `queue::pop`: simulate a slow dequeue path so jobs age
     // past their deadline. Only the Delay action makes sense here — pop
     // has no error channel — so that's all this site honors.
@@ -1242,108 +1237,65 @@ fn run_job(
     if let Some(crate::failpoints::FailAction::Delay(d)) = crate::failpoints::armed("queue::pop") {
         std::thread::sleep(d);
     }
-    let Some(job) = shed_if_dead(job, metrics) else { return };
-    let start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<Answer> {
-        crate::fail_point!("engine::run_job");
-        match job.kind {
-            JobKind::Full => {
-                let mut result = vec![0.0; bear.num_nodes()];
-                bear.query_into(job.seed, ws, &mut result)?;
-                Ok(Answer::Full(Arc::new(result)))
-            }
-            JobKind::TopK { k } => match topk_strategy {
-                TopKStrategy::Pruned => {
-                    let (nodes, stats) = bear.query_top_k_pruned_in(
-                        job.seed,
-                        k,
-                        &TopKPruneOptions::default(),
-                        ws,
-                    )?;
-                    metrics.record_topk_pruned(
-                        stats.certified,
-                        stats.candidates as u64,
-                        stats.nodes_pruned as u64,
-                    );
-                    Ok(Answer::TopK(Arc::new(nodes)))
-                }
-                TopKStrategy::Full => {
-                    let mut result = vec![0.0; bear.num_nodes()];
-                    bear.query_into(job.seed, ws, &mut result)?;
-                    Ok(Answer::TopK(Arc::new(top_k_excluding_seed(&result, job.seed, k))))
-                }
-            },
+    let JobScratch { ws, jobs, seeds, out } = scratch;
+    jobs.retain(|job| {
+        if shed_if_dead(job, metrics) {
+            return false;
         }
-    }))
-    .unwrap_or_else(|_| {
-        metrics.record_worker_panic();
-        Err(Error::WorkerPanicked { seed: job.seed })
+        let k = match job.kind {
+            JobKind::TopK { k } if topk_strategy == TopKStrategy::Pruned => k,
+            _ => return true,
+        };
+        let start = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<Answer> {
+            crate::fail_point!("engine::run_job");
+            let (nodes, stats) =
+                bear.query_top_k_pruned_in(job.seed, k, &TopKPruneOptions::default(), ws)?;
+            metrics.record_topk_pruned(
+                stats.certified,
+                stats.candidates as u64,
+                stats.nodes_pruned as u64,
+            );
+            Ok(Answer::TopK(Arc::new(nodes)))
+        }))
+        .unwrap_or_else(|_| {
+            metrics.record_worker_panic();
+            Err(Error::WorkerPanicked { seed: job.seed })
+        });
+        metrics.record_block(1, start.elapsed());
+        // A receiver that hung up no longer wants the answer; ignore.
+        let _ = job.reply.send((job.tag, outcome));
+        false
     });
-    metrics.record_block(1, start.elapsed());
-    // A receiver that hung up no longer wants the answer; ignore.
-    let _ = job.reply.send((job.tag, outcome));
-}
-
-/// Answers a coalesced batch of jobs with one blocked multi-RHS solve.
-/// Dead jobs (expired deadline, cancelled caller) are shed individually
-/// first, exactly as [`run_job`] would shed them; the survivors share
-/// one [`Bear::query_block_into`] call and each gets its own column
-/// copied out as its reply. A panic poisons only this batch: every
-/// member is answered with [`Error::WorkerPanicked`] and the pool
-/// survives. `jobs`, `live`, `seeds`, and `out` are worker-owned
-/// scratch, reused across batches so steady-state coalescing allocates
-/// only the per-query result vectors.
-fn run_block(
-    bear: &Bear,
-    ws: &mut BlockWorkspace,
-    jobs: &mut Vec<Job>,
-    live: &mut Vec<Job>,
-    seeds: &mut Vec<usize>,
-    out: &mut DenseBlock,
-    metrics: &Metrics,
-) {
-    #[cfg(feature = "failpoints")]
-    if let Some(crate::failpoints::FailAction::Delay(d)) = crate::failpoints::armed("queue::pop") {
-        std::thread::sleep(d);
-    }
-    live.clear();
-    for job in jobs.drain(..) {
-        if let Some(job) = shed_if_dead(job, metrics) {
-            live.push(job);
-        }
-    }
-    if live.is_empty() {
+    if jobs.is_empty() {
         return;
     }
     seeds.clear();
-    seeds.extend(live.iter().map(|j| j.seed));
+    seeds.extend(jobs.iter().map(|j| j.seed));
     let start = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         crate::fail_point!("engine::run_job");
         out.reset(bear.num_nodes(), seeds.len());
         bear.query_block_into(seeds, ws, out)
     }));
-    metrics.record_block(live.len(), start.elapsed());
-    match outcome {
-        Ok(Ok(())) => {
-            for (j, job) in live.drain(..).enumerate() {
-                let _ =
-                    job.reply.send((job.tag, Ok(Answer::Full(Arc::new(out.col(j).to_vec())))));
-            }
-        }
-        // Seeds are validated at admission, so a typed error here is a
-        // bug surfaced loudly to every member rather than swallowed.
-        Ok(Err(e)) => {
-            for job in live.drain(..) {
-                let _ = job.reply.send((job.tag, Err(e.clone())));
-            }
-        }
-        Err(_) => {
-            metrics.record_worker_panic();
-            for job in live.drain(..) {
-                let _ = job.reply.send((job.tag, Err(Error::WorkerPanicked { seed: job.seed })));
-            }
-        }
+    metrics.record_block(jobs.len(), start.elapsed());
+    if outcome.is_err() {
+        metrics.record_worker_panic();
+    }
+    for (j, job) in jobs.drain(..).enumerate() {
+        let reply = match &outcome {
+            Ok(Ok(())) => Ok(match job.kind {
+                JobKind::Full => Answer::Full(Arc::new(out.col(j).to_vec())),
+                JobKind::TopK { k } => {
+                    Answer::TopK(Arc::new(top_k_excluding_seed(out.col(j), job.seed, k)))
+                }
+            }),
+            // Seeds are validated at admission, so a typed error here is
+            // a bug surfaced loudly to every member rather than swallowed.
+            Ok(Err(e)) => Err(e.clone()),
+            Err(_) => Err(Error::WorkerPanicked { seed: job.seed }),
+        };
+        let _ = job.reply.send((job.tag, reply));
     }
 }
 

@@ -27,8 +27,9 @@
 //!   save reports Ok, load must catch the damage);
 //! * `queue::push` — engine job admission ([`crate::engine::QueryEngine`]);
 //! * `queue::pop` — worker dequeue, before deadline shedding;
-//! * `engine::run_job` — inside the worker's `catch_unwind`, before the
-//!   query computation.
+//! * `engine::run_job` — inside the engine's `catch_unwind`, before the
+//!   computation: once per pruned top-k job and once per blocked solve
+//!   of a drained batch, on pool workers and assisting callers alike.
 
 use std::collections::HashMap;
 // lint:allow(L4, compiled under cfg(loom) too, where loom primitives panic outside a model)

@@ -821,24 +821,12 @@ impl SpokeFactors {
         Ok(pairs)
     }
 
-    /// `y = U₁⁻¹(L₁⁻¹x)` — one `H₁₁⁻¹` application, with `tmp` left
-    /// holding `L₁⁻¹x`. Bit-identical to two `CscMatrix::matvec_into`
-    /// calls on the whole factors. The paged arm fetches each block
-    /// whose input slice is nonzero exactly once and never fetches the
-    /// others.
-    pub(crate) fn solve_into(&self, x: &[f64], tmp: &mut [f64], y: &mut [f64]) -> Result<()> {
-        match self {
-            SpokeFactors::Resident { l1_inv, u1_inv } => {
-                l1_inv.matvec_into(x, tmp)?;
-                u1_inv.matvec_into(tmp, y)
-            }
-            SpokeFactors::Paged { pager } => self.sweep(pager, x, tmp, y),
-        }
-    }
-
-    /// Multi-RHS form of [`SpokeFactors::solve_into`]: each column is
-    /// bit-identical to `solve_into` on that column, as the resident
-    /// `spmm_into` kernels guarantee.
+    /// `Y = U₁⁻¹(L₁⁻¹X)` — one `H₁₁⁻¹` application to every column of
+    /// `x`, with `tmp` left holding `L₁⁻¹X`. Each column is bit-identical
+    /// to two `CscMatrix::matvec_into` calls on the whole factors (the
+    /// resident `spmm_into` kernels guarantee it, and delegate to them at
+    /// width 1). The paged arm fetches each block whose input rows are
+    /// nonzero exactly once and never fetches the others.
     pub(crate) fn solve_block_into(
         &self,
         x: &DenseBlock,

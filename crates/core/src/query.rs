@@ -11,7 +11,7 @@
 //! with every product a sparse matrix–vector multiplication, giving the
 //! paper's query complexity `O(Σ n₁ᵢ² + n₂² + min(n₁n₂, m))` (Theorem 3).
 
-use crate::engine::{BlockWorkspace, QueryWorkspace};
+use crate::engine::QueryWorkspace;
 use crate::precompute::Bear;
 use crate::rwr::validate_distribution;
 use crate::solver::RwrSolver;
@@ -35,15 +35,9 @@ impl Bear {
         if seed >= n {
             return Err(Error::IndexOutOfBounds { index: seed, bound: n });
         }
-        // Borrow the one-hot buffer out of the workspace so the workspace
-        // itself can be passed down (`mem::take` swaps in an empty Vec —
-        // no allocation).
-        let mut q = std::mem::take(&mut ws.q);
-        q[seed] = 1.0;
-        let result = self.query_distribution_into(&q, ws, out);
-        q[seed] = 0.0;
-        ws.q = q;
-        result
+        self.load_one_hot(std::slice::from_ref(&seed), ws);
+        self.solve_columns(ws)?;
+        self.unpermute_column(ws, 0, out)
     }
 
     /// Personalized PageRank for an arbitrary preference distribution
@@ -55,10 +49,9 @@ impl Bear {
         Ok(out)
     }
 
-    /// [`Bear::query_distribution`] into caller-owned buffers. This is the
-    /// single implementation of Algorithm 2's two block-elimination
-    /// sweeps; the allocating wrappers and the engine both call it, so
-    /// every path produces bit-identical floating-point results.
+    /// [`Bear::query_distribution`] into caller-owned buffers: `q` is
+    /// moved into the reordered index space as a width-1 block and
+    /// answered by the same recurrence as every other query path.
     pub fn query_distribution_into(
         &self,
         q: &[f64],
@@ -74,32 +67,14 @@ impl Bear {
             });
         }
         validate_distribution(q)?;
-        // Move q into the reordered index space and split.
-        self.perm.permute_vec_into(q, &mut ws.q_perm)?;
-        let (q1, q2) = ws.q_perm.split_at(self.n1);
-
-        // r₂ = c U₂⁻¹ L₂⁻¹ (q₂ − H₂₁ U₁⁻¹ L₁⁻¹ q₁)
-        self.spokes.solve_into(q1, &mut ws.t1, &mut ws.t2)?;
-        self.h21.matvec_into(&ws.t2, &mut ws.t3)?;
-        for (t, &qv) in ws.t3.iter_mut().zip(q2) {
-            *t = qv - *t;
-        }
-        self.l2_inv.matvec_into(&ws.t3, &mut ws.t4)?;
-        self.u2_inv.matvec_into(&ws.t4, &mut ws.t3)?;
-        let (r1, r2) = ws.r.split_at_mut(self.n1);
-        for (r, &v) in r2.iter_mut().zip(&ws.t3) {
-            *r = self.c * v;
-        }
-
-        // r₁ = U₁⁻¹ L₁⁻¹ (c q₁ − H₁₂ r₂)
-        self.h12.matvec_into(r2, &mut ws.t1)?;
-        for (t, &qv) in ws.t1.iter_mut().zip(q1) {
-            *t = self.c * qv - *t;
-        }
-        self.spokes.solve_into(&ws.t1, &mut ws.t2, r1)?;
-
-        // Map back to the original node ids.
-        self.perm.unpermute_vec_into(&ws.r, out)
+        ws.ensure_width(self, 1);
+        // `r` is free until the result is assembled: permute through it.
+        self.perm.permute_vec_into(q, &mut ws.r)?;
+        let (q1, q2) = ws.r.split_at(self.n1);
+        ws.q1.data_mut().copy_from_slice(q1);
+        ws.q2.data_mut().copy_from_slice(q2);
+        self.solve_columns(ws)?;
+        self.unpermute_column(ws, 0, out)
     }
 
     /// Answers a block of seeds at once: column `j` of `out` receives the
@@ -107,7 +82,7 @@ impl Bear {
     /// [`Bear::query_block_into`] that allocates its own workspace and
     /// returns one score vector per seed, in seed order.
     pub fn query_block(&self, seeds: &[usize]) -> Result<Vec<Vec<f64>>> {
-        let mut ws = BlockWorkspace::for_bear(self);
+        let mut ws = QueryWorkspace::for_bear(self);
         let mut out = DenseBlock::zeros(self.num_nodes(), seeds.len());
         self.query_block_into(seeds, &mut ws, &mut out)?;
         Ok(out.to_columns())
@@ -125,13 +100,13 @@ impl Bear {
     /// are allowed and produce duplicate columns.
     ///
     /// `out` must be `n × seeds.len()`; `ws` must have been built for
-    /// this index ([`BlockWorkspace::for_bear`]) and is reshaped in place
+    /// this index ([`QueryWorkspace::for_bear`]) and is reshaped in place
     /// to the batch width (allocation-free when shrinking or at steady
     /// width).
     pub fn query_block_into(
         &self,
         seeds: &[usize],
-        ws: &mut BlockWorkspace,
+        ws: &mut QueryWorkspace,
         out: &mut DenseBlock,
     ) -> Result<()> {
         let n = self.num_nodes();
@@ -149,19 +124,45 @@ impl Bear {
         if k == 0 {
             return Ok(());
         }
-        ws.ensure_width(self, k);
-        // Build the permuted one-hot columns, split at the spoke/hub
-        // boundary exactly as the per-seed path splits `q_perm`.
-        for (j, &seed) in seeds.iter().enumerate() {
-            ws.q[seed] = 1.0;
-            let permuted = self.perm.permute_vec_into(&ws.q, &mut ws.q_perm);
-            ws.q[seed] = 0.0;
-            permuted?;
-            ws.q1.col_mut(j).copy_from_slice(&ws.q_perm[..self.n1]);
-            ws.q2.col_mut(j).copy_from_slice(&ws.q_perm[self.n1..]);
+        self.load_one_hot(seeds, ws);
+        self.solve_columns(ws)?;
+        for j in 0..k {
+            self.unpermute_column(ws, j, out.col_mut(j))?;
         }
+        Ok(())
+    }
 
-        // r₂ = c U₂⁻¹ L₂⁻¹ (q₂ − H₂₁ U₁⁻¹ L₁⁻¹ q₁), one column per seed.
+    /// Reshapes `ws` to `seeds.len()` columns, column `j` holding the
+    /// one-hot vector of `seeds[j]` in the reordered index space, split
+    /// at the spoke/hub boundary. Seeds must already be checked `< n`.
+    pub(crate) fn load_one_hot(&self, seeds: &[usize], ws: &mut QueryWorkspace) {
+        ws.ensure_width(self, seeds.len());
+        ws.q1.fill(0.0);
+        ws.q2.fill(0.0);
+        for (j, &seed) in seeds.iter().enumerate() {
+            let pos = self.perm.new_of(seed);
+            let slot = match pos.checked_sub(self.n1) {
+                None => ws.q1.col_mut(j).get_mut(pos),
+                Some(hub) => ws.q2.col_mut(j).get_mut(hub),
+            };
+            if let Some(slot) = slot {
+                *slot = 1.0;
+            }
+        }
+    }
+
+    /// Algorithm 2 on every column of `ws`: stages (a) and (b), then
+    /// stage (c), the spoke solve `r₁ = H₁₁⁻¹t₁`. `r₂` lands in `ws.r2`,
+    /// `r₁` in `ws.t1`.
+    fn solve_columns(&self, ws: &mut QueryWorkspace) -> Result<()> {
+        self.hub_sweep(ws)?;
+        self.spoke_rhs(ws)?;
+        self.spokes.solve_block_into(&ws.q1, &mut ws.t2, &mut ws.t1)
+    }
+
+    /// Stage (a), the hub sweep:
+    /// `r₂ = c·U₂⁻¹L₂⁻¹(q₂ − H₂₁·H₁₁⁻¹q₁)` into `ws.r2`.
+    pub(crate) fn hub_sweep(&self, ws: &mut QueryWorkspace) -> Result<()> {
         self.spokes.solve_block_into(&ws.q1, &mut ws.t1, &mut ws.t2)?;
         self.h21.spmm_into(&ws.t2, &mut ws.t3)?;
         for (t, &qv) in ws.t3.data_mut().iter_mut().zip(ws.q2.data()) {
@@ -172,92 +173,26 @@ impl Bear {
         for (r, &v) in ws.r2.data_mut().iter_mut().zip(ws.t3.data()) {
             *r = self.c * v;
         }
+        Ok(())
+    }
 
-        // r₁ = U₁⁻¹ L₁⁻¹ (c q₁ − H₁₂ r₂). The right-hand side is formed
-        // in `q1`, which is dead from here on, so `t1` can receive the
-        // finished r₁.
+    /// Stage (b), the spoke right-hand side `t₁ = c·q₁ − H₁₂r₂`, formed
+    /// in `ws.q1`: `q₁` is dead after the hub sweep.
+    pub(crate) fn spoke_rhs(&self, ws: &mut QueryWorkspace) -> Result<()> {
         self.h12.spmm_into(&ws.r2, &mut ws.t1)?;
         for (qv, &t) in ws.q1.data_mut().iter_mut().zip(ws.t1.data()) {
             *qv = self.c * *qv - t;
         }
-        self.spokes.solve_block_into(&ws.q1, &mut ws.t2, &mut ws.t1)?;
-
-        // Map each column back to the original node ids.
-        for j in 0..k {
-            ws.r[..self.n1].copy_from_slice(ws.t1.col(j));
-            ws.r[self.n1..].copy_from_slice(ws.r2.col(j));
-            self.perm.unpermute_vec_into(&ws.r, out.col_mut(j))?;
-        }
         Ok(())
     }
-}
 
-impl Bear {
-    /// Answers many single-seed queries, fanning out over `threads` scoped
-    /// workers (queries are independent and `Bear` is immutable after
-    /// preprocessing). Results are in seed order and bit-identical to
-    /// sequential [`Bear::query`] calls.
-    ///
-    /// All seeds are validated before any work starts, so an out-of-range
-    /// seed fails fast with an error naming it; a panicking worker
-    /// surfaces as an error instead of aborting the process. Long-lived
-    /// callers should prefer [`crate::engine::QueryEngine`], which keeps
-    /// its pool and per-worker buffers alive across calls instead of
-    /// re-spawning threads here.
-    pub fn query_batch(&self, seeds: &[usize], threads: usize) -> Result<Vec<Vec<f64>>> {
-        let n = self.num_nodes();
-        if let Some(&bad) = seeds.iter().find(|&&s| s >= n) {
-            return Err(Error::IndexOutOfBounds { index: bad, bound: n });
-        }
-        // Nothing to answer: return without allocating workspaces or
-        // touching any thread machinery.
-        if seeds.is_empty() {
-            return Ok(Vec::new());
-        }
-        let threads = threads.max(1).min(seeds.len().max(1));
-        if threads <= 1 {
-            let mut ws = QueryWorkspace::for_bear(self);
-            return seeds
-                .iter()
-                .map(|&s| {
-                    let mut out = vec![0.0; n];
-                    self.query_into(s, &mut ws, &mut out)?;
-                    Ok(out)
-                })
-                .collect();
-        }
-        let chunk = seeds.len().div_ceil(threads);
-        let results: Vec<Result<Vec<Vec<f64>>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = seeds
-                .chunks(chunk)
-                .map(|chunk_seeds| {
-                    scope.spawn(move || -> Result<Vec<Vec<f64>>> {
-                        let mut ws = QueryWorkspace::for_bear(self);
-                        chunk_seeds
-                            .iter()
-                            .map(|&s| {
-                                let mut out = vec![0.0; n];
-                                self.query_into(s, &mut ws, &mut out)?;
-                                Ok(out)
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(Error::InvalidStructure("query_batch worker panicked".into()))
-                    })
-                })
-                .collect()
-        });
-        let mut out = Vec::with_capacity(seeds.len());
-        for r in results {
-            out.extend(r?);
-        }
-        Ok(out)
+    /// Joins column `j`'s `r₁` and `r₂` and maps them back to the
+    /// original node ids in `out` (length `n`).
+    fn unpermute_column(&self, ws: &mut QueryWorkspace, j: usize, out: &mut [f64]) -> Result<()> {
+        let (r1, r2) = ws.r.split_at_mut(self.n1);
+        r1.copy_from_slice(ws.t1.col(j));
+        r2.copy_from_slice(ws.r2.col(j));
+        self.perm.unpermute_vec_into(&ws.r, out)
     }
 }
 
@@ -411,14 +346,11 @@ mod tests {
         let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
         let seeds: Vec<usize> = (0..10).collect();
         let sequential: Vec<Vec<f64>> = seeds.iter().map(|&s| bear.query(s).unwrap()).collect();
-        for threads in [1, 2, 4, 16] {
-            let batch = bear.query_batch(&seeds, threads).unwrap();
-            assert_eq!(batch, sequential, "threads = {threads}");
-        }
+        assert_eq!(bear.query_block(&seeds).unwrap(), sequential);
         // Error propagation: an out-of-range seed fails the whole batch.
-        assert!(bear.query_batch(&[0, 99], 2).is_err());
+        assert!(bear.query_block(&[0, 99]).is_err());
         // Empty batch is fine.
-        assert!(bear.query_batch(&[], 4).unwrap().is_empty());
+        assert!(bear.query_block(&[]).unwrap().is_empty());
     }
 
     #[test]
@@ -456,13 +388,25 @@ mod tests {
     fn block_workspace_reuses_across_widths() {
         let g = undirected(9, &[(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 8)]);
         let bear = Bear::new(&g, &BearConfig::exact(0.2)).unwrap();
-        let mut ws = crate::engine::BlockWorkspace::for_bear(&bear);
+        let q = [0.0, 0.25, 0.0, 0.0, 0.0, 0.0, 0.75, 0.0, 0.0];
+        let opts = crate::topk_pruned::TopKPruneOptions::default();
+        let mut ws = QueryWorkspace::for_bear(&bear);
+        let mut single = vec![0.0; 9];
         for seeds in [vec![0usize, 4, 8], vec![2], vec![1, 1, 3, 5, 7, 0, 2], vec![]] {
             let mut out = bear_sparse::DenseBlock::zeros(9, seeds.len());
             bear.query_block_into(&seeds, &mut ws, &mut out).unwrap();
             for (j, &s) in seeds.iter().enumerate() {
                 assert_eq!(out.col(j), &bear.query(s).unwrap()[..], "width {}", seeds.len());
             }
+            // Width-1 paths on the same workspace, between wide blocks,
+            // against fresh-workspace answers.
+            let s = seeds.last().copied().unwrap_or(6);
+            bear.query_into(s, &mut ws, &mut single).unwrap();
+            assert_eq!(single, bear.query(s).unwrap(), "query_into after width {}", seeds.len());
+            bear.query_distribution_into(&q, &mut ws, &mut single).unwrap();
+            assert_eq!(single, bear.query_distribution(&q).unwrap());
+            let pruned = bear.query_top_k_pruned_in(s, 3, &opts, &mut ws).unwrap();
+            assert_eq!(pruned, bear.query_top_k_pruned_with(s, 3, &opts).unwrap());
         }
     }
 
@@ -470,7 +414,7 @@ mod tests {
     fn block_query_validates_inputs() {
         let g = undirected(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
-        let mut ws = crate::engine::BlockWorkspace::for_bear(&bear);
+        let mut ws = QueryWorkspace::for_bear(&bear);
         // Out-of-range seed named in the error.
         let mut out = bear_sparse::DenseBlock::zeros(5, 2);
         let err = bear.query_block_into(&[0, 9], &mut ws, &mut out).unwrap_err();

@@ -533,9 +533,7 @@ impl Bear {
         Ok((nodes, TopKPruneStats::fallback(self, n, reason)))
     }
 
-    /// The pruning pass proper. Returns `Fallback` without touching the
-    /// workspace's one-hot invariant (`ws.q` is restored before any
-    /// early return).
+    /// The pruning pass proper.
     fn prune_core(
         &self,
         seed: usize,
@@ -548,49 +546,17 @@ impl Bear {
             return Ok(CoreOutcome::Fallback(TopKFallbackReason::NonFiniteBounds));
         }
 
-        // One-hot seed, permuted — the same dance as `query_into`, with
-        // `ws.q` restored to all-zero immediately.
-        let mut q = std::mem::take(&mut ws.q);
-        if let Some(slot) = q.get_mut(seed) {
-            *slot = 1.0;
-        }
-        let permuted = self.perm.permute_vec_into(&q, &mut ws.q_perm);
-        if let Some(slot) = q.get_mut(seed) {
-            *slot = 0.0;
-        }
-        ws.q = q;
-        permuted?;
-        let (q1, q2) = ws.q_perm.split_at(self.n1);
-
-        // Hub sweep — the exact kernel sequence of
-        // `query_distribution_into`, so `r₂` is bit-identical to the
-        // full solve's hub scores.
-        self.spokes.solve_into(q1, &mut ws.t1, &mut ws.t2)?;
-        self.h21.matvec_into(&ws.t2, &mut ws.t3)?;
-        for (t, &qv) in ws.t3.iter_mut().zip(q2) {
-            *t = qv - *t;
-        }
-        self.l2_inv.matvec_into(&ws.t3, &mut ws.t4)?;
-        self.u2_inv.matvec_into(&ws.t4, &mut ws.t3)?;
-        let (r1, r2) = ws.r.split_at_mut(self.n1);
-        for (r, &v) in r2.iter_mut().zip(&ws.t3) {
-            *r = self.c * v;
-        }
-
-        // Spoke right-hand side `t₁ = c·q₁ − H₁₂ r₂`, computed exactly
-        // for every spoke up front. CSR rows are independent dot
-        // products, so each entry matches the full kernel bit for bit;
-        // `H₁₂` holds only original graph edges, so this is the cheap
-        // part of the spoke sweep. The fill-heavy `U₁⁻¹L₁⁻¹` scatter is
-        // what pruning skips per unresolved block.
-        for ((i, t), &qv) in ws.t1.iter_mut().enumerate().zip(q1) {
-            let (cols, vals) = self.h12.row(i);
-            let mut acc = 0.0f64;
-            for (&ci, &v) in cols.iter().zip(vals) {
-                acc += v * r2.get(ci).copied().unwrap_or(0.0);
-            }
-            *t = self.c * qv - acc;
-        }
+        // The hub sweep and the spoke right-hand side
+        // `t₁ = c·q₁ − H₁₂ r₂` at width 1: the full solve's own stages,
+        // so `r₂` and `t₁` are bit-identical to the full solve's. `H₁₂`
+        // holds only original graph edges, so `t₁` for every spoke is the
+        // cheap part of the spoke sweep; the fill-heavy `U₁⁻¹L₁⁻¹`
+        // scatter is what pruning skips per unresolved block.
+        self.load_one_hot(std::slice::from_ref(&seed), ws);
+        self.hub_sweep(ws)?;
+        self.spoke_rhs(ws)?;
+        let t1 = ws.q1.data();
+        let r2 = ws.r2.data();
 
         let seed_pos = self.perm.new_of(seed);
         let seed_block = bounds.block_of(seed_pos);
@@ -601,7 +567,7 @@ impl Bear {
         let mut order: Vec<BlockBound> = Vec::with_capacity(self.block_sizes.len());
         for (b, &wm) in bounds.w_max.iter().enumerate() {
             let (bs, be) = bounds.block_range(b)?;
-            let tb = ws.t1.get(bs..be).ok_or_else(|| {
+            let tb = t1.get(bs..be).ok_or_else(|| {
                 Error::InvalidStructure("top-k block range out of bounds".into())
             })?;
             let gb = bounds.g.get(bs..be).ok_or_else(|| {
@@ -668,13 +634,13 @@ impl Bear {
                 // exactly the k best under a strict total order, so
                 // block resolution order cannot change the answer).
                 fallback = Some(TopKFallbackReason::BoundsTooLoose);
-                self.resolve_into_heap(b, bs, be, &ws.t1, &mut ws.t2, r1, seed, effective_k, &mut heap)?;
+                self.resolve_into_heap(b, bs, be, ws, seed, effective_k, &mut heap)?;
                 resolved_nodes += width;
                 blocks_resolved += 1;
                 candidates += width - usize::from(seed_block == Some(b));
                 break;
             }
-            self.resolve_into_heap(b, bs, be, &ws.t1, &mut ws.t2, r1, seed, effective_k, &mut heap)?;
+            self.resolve_into_heap(b, bs, be, ws, seed, effective_k, &mut heap)?;
             resolved_nodes += width;
             blocks_resolved += 1;
             candidates += width - usize::from(seed_block == Some(b));
@@ -682,7 +648,7 @@ impl Bear {
         if fallback.is_some() {
             for BlockBound { b, .. } in order.into_vec() {
                 let (bs, be) = bounds.block_range(b)?;
-                self.resolve_into_heap(b, bs, be, &ws.t1, &mut ws.t2, r1, seed, effective_k, &mut heap)?;
+                self.resolve_into_heap(b, bs, be, ws, seed, effective_k, &mut heap)?;
                 resolved_nodes += be - bs;
                 blocks_resolved += 1;
                 candidates += (be - bs) - usize::from(seed_block == Some(b));
@@ -708,23 +674,24 @@ impl Bear {
     }
 
     /// Exactly resolves spoke block `[bs, be)` — `r₁[B] = U₁⁻¹L₁⁻¹
-    /// t₁[B]`, replicating the full kernels' per-row accumulation
-    /// order — and feeds the scores into the bounded candidate heap.
+    /// t₁[B]` from `t₁` in `ws.q1` into `ws.t1`, replicating the full
+    /// kernels' per-row accumulation order — and feeds the scores into
+    /// the bounded candidate heap.
     #[allow(clippy::too_many_arguments)]
     fn resolve_into_heap(
         &self,
         b: usize,
         bs: usize,
         be: usize,
-        t1: &[f64],
-        t2: &mut [f64],
-        r1: &mut [f64],
+        ws: &mut QueryWorkspace,
         seed: usize,
         effective_k: usize,
         heap: &mut BinaryHeap<HeapItem>,
     ) -> Result<()> {
-        self.spokes.solve_diag_block(b, bs, be, t1, t2, r1)?;
-        let r1b = r1
+        let QueryWorkspace { q1, t1, t2, .. } = ws;
+        self.spokes.solve_diag_block(b, bs, be, q1.data(), t2.data_mut(), t1.data_mut())?;
+        let r1b = t1
+            .data()
             .get(bs..be)
             .ok_or_else(|| Error::InvalidStructure("top-k block range out of bounds".into()))?;
         for (off, &score) in r1b.iter().enumerate() {

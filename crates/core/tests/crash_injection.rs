@@ -28,7 +28,8 @@ use bear_core::failpoints::{self, FailAction};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// The failpoint registry is process-global, so armed cases must not
-/// overlap. Each failpoint test holds this lock for its whole body; the
+/// overlap — and an unarmed test that saves must not run while a save
+/// site is armed. Each such test holds this lock for its whole body; the
 /// guard disarms every site on drop (including panics).
 #[cfg(feature = "failpoints")]
 struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>);
@@ -90,6 +91,8 @@ fn assert_no_temp_files(stem: &str) {
 
 #[test]
 fn every_truncation_fails_typed_or_loads_identically() {
+    #[cfg(feature = "failpoints")]
+    let _serial = serial();
     let bear = build();
     let path = tmp("bear_crash_trunc_sweep.idx");
     bear.save(&path).unwrap();
@@ -114,6 +117,8 @@ fn every_truncation_fails_typed_or_loads_identically() {
 
 #[test]
 fn every_probed_bit_flip_fails_typed_or_loads_identically() {
+    #[cfg(feature = "failpoints")]
+    let _serial = serial();
     let bear = build();
     let path = tmp("bear_crash_flip_sweep.idx");
     bear.save(&path).unwrap();
@@ -145,6 +150,8 @@ fn every_probed_bit_flip_fails_typed_or_loads_identically() {
 
 #[test]
 fn save_over_existing_index_replaces_it_atomically() {
+    #[cfg(feature = "failpoints")]
+    let _serial = serial();
     let a = build();
     let path = tmp("bear_crash_replace.idx");
     a.save(&path).unwrap();
@@ -307,6 +314,8 @@ fn lying_disk_bit_rot_is_caught_at_load() {
 
 #[test]
 fn v3_every_truncation_fails_typed_or_loads_identically() {
+    #[cfg(feature = "failpoints")]
+    let _serial = serial();
     let bear = build();
     let path = tmp("bear_crash_v3_trunc_sweep.idx");
     bear.save_v3(&path).unwrap();
@@ -329,6 +338,8 @@ fn v3_every_truncation_fails_typed_or_loads_identically() {
 
 #[test]
 fn v3_every_probed_bit_flip_fails_typed_at_load() {
+    #[cfg(feature = "failpoints")]
+    let _serial = serial();
     let bear = build();
     let path = tmp("bear_crash_v3_flip_sweep.idx");
     bear.save_v3(&path).unwrap();

@@ -25,7 +25,6 @@ pub mod generators;
 pub mod graph;
 pub mod io;
 pub mod partition;
-pub mod rcm;
 pub mod slashburn;
 
 pub use graph::Graph;

@@ -1,9 +1,8 @@
-//! Property tests for the ordering and community machinery: RCM,
-//! conductance/sweep cuts, and community orderings on arbitrary graphs.
+//! Property tests for the ordering and community machinery:
+//! conductance/sweep cuts and community orderings on arbitrary graphs.
 
 use bear_graph::community::{community_degree_ordering, label_propagation};
 use bear_graph::conductance::{conductance, sweep_cut};
-use bear_graph::rcm::{bandwidth, reverse_cuthill_mckee};
 use bear_graph::Graph;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -18,28 +17,6 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
-
-    #[test]
-    fn rcm_is_always_a_permutation(g in arb_graph()) {
-        let order = reverse_cuthill_mckee(&g);
-        prop_assert_eq!(order.len(), g.num_nodes());
-        let mut seen = vec![false; g.num_nodes()];
-        for &u in &order {
-            prop_assert!(!seen[u]);
-            seen[u] = true;
-        }
-    }
-
-    #[test]
-    fn bandwidth_is_order_independent_for_identity_check(g in arb_graph()) {
-        // Bandwidth under any permutation is bounded by n-1 and is zero
-        // iff there are no off-diagonal symmetrized edges.
-        let order = reverse_cuthill_mckee(&g);
-        let bw = bandwidth(&g, &order);
-        prop_assert!(bw <= g.num_nodes().saturating_sub(1));
-        let has_edge = g.symmetrized_pattern().nnz() > 0;
-        prop_assert_eq!(bw == 0, !has_edge);
-    }
 
     #[test]
     fn conductance_always_in_unit_range(g in arb_graph(), mask_seed in 0u64..100) {

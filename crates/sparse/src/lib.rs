@@ -39,7 +39,6 @@ pub mod parallel;
 pub mod perm;
 pub mod qr;
 pub mod solvers;
-pub mod sparse_qr;
 pub mod sparsify;
 pub mod svd;
 pub mod triangular;

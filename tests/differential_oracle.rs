@@ -1,6 +1,6 @@
 //! Differential-oracle suite: every query path in the workspace —
 //! BEAR-Exact per-seed, the blocked multi-RHS kernels at several widths,
-//! the scoped-thread batch path, and the LU / QR / iterative baselines —
+//! the engine's pooled batch path, and the LU / QR / iterative baselines —
 //! is checked against one independent ground truth, dense matrix
 //! inversion, within an L∞ tolerance of 1e-10.
 //!
@@ -13,7 +13,7 @@
 
 use bear_baselines::{Inversion, Iterative, IterativeConfig, LuDecomp, QrDecomp};
 use bear_core::rwr::RwrConfig;
-use bear_core::{Bear, BearConfig, BlockWorkspace, RwrSolver};
+use bear_core::{Bear, BearConfig, BlockWorkspace, EngineConfig, QueryEngine, RwrSolver};
 use bear_datasets::small_suite;
 use bear_graph::generators::{hub_and_spoke, HubSpokeConfig};
 use bear_graph::Graph;
@@ -21,6 +21,7 @@ use bear_sparse::mem::MemBudget;
 use bear_sparse::DenseBlock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Shared L∞ agreement tolerance for every solver on the panel.
 const TOL: f64 = 1e-10;
@@ -112,8 +113,10 @@ fn every_query_path_matches_the_dense_inversion_oracle() {
             }
         }
 
-        // Scoped-thread batch path.
-        let batch = bear.query_batch(&seeds, 2).unwrap();
+        // Pooled batch path: two workers plus the assisting caller.
+        let config = EngineConfig::builder().threads(2).build().unwrap();
+        let engine = QueryEngine::new(Arc::new(bear), config).unwrap();
+        let batch = engine.query_batch(&seeds).unwrap();
         for (i, (got, want)) in batch.iter().zip(&truth).enumerate() {
             let err = linf(got, want);
             assert!(err < TOL, "{name}: query_batch off oracle by {err:.3e} at seed #{i}");
