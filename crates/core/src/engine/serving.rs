@@ -542,9 +542,10 @@ impl QueryEngine {
             let bear = Arc::clone(&bear);
             let worker_queue = Arc::clone(&queue);
             let metrics = Arc::clone(&metrics);
-            let spawned = std::thread::Builder::new().name(format!("bear-query-{i}")).spawn(
-                move || worker_loop(&bear, &worker_queue, &metrics, block_width, topk_strategy),
-            );
+            let spawned =
+                std::thread::Builder::new().name(format!("bear-query-{i}")).spawn(move || {
+                    worker_loop(&bear, &worker_queue, &metrics, block_width, topk_strategy)
+                });
             match spawned {
                 Ok(handle) => workers.push(handle),
                 Err(e) => {
@@ -773,8 +774,7 @@ impl QueryEngine {
                     return Ok((hit, true));
                 }
                 if hit.len() > effective_k {
-                    let prefix: Vec<ScoredNode> =
-                        hit.iter().take(effective_k).copied().collect();
+                    let prefix: Vec<ScoredNode> = hit.iter().take(effective_k).copied().collect();
                     return Ok((Arc::new(prefix), true));
                 }
             }
@@ -1046,8 +1046,7 @@ impl QueryEngine {
                       tag: usize,
                       result: Result<Answer>|
          -> Result<()> {
-            let scores =
-                result.and_then(Answer::into_full).inspect_err(|_| token.cancel())?;
+            let scores = result.and_then(Answer::into_full).inspect_err(|_| token.cancel())?;
             if let Some(cache) = &engine.full_cache {
                 if let Ok(mut c) = cache.lock() {
                     c.insert(seeds[tag], Arc::clone(&scores));

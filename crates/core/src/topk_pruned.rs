@@ -567,12 +567,13 @@ impl Bear {
         let mut order: Vec<BlockBound> = Vec::with_capacity(self.block_sizes.len());
         for (b, &wm) in bounds.w_max.iter().enumerate() {
             let (bs, be) = bounds.block_range(b)?;
-            let tb = t1.get(bs..be).ok_or_else(|| {
-                Error::InvalidStructure("top-k block range out of bounds".into())
-            })?;
-            let gb = bounds.g.get(bs..be).ok_or_else(|| {
-                Error::InvalidStructure("top-k block range out of bounds".into())
-            })?;
+            let tb = t1
+                .get(bs..be)
+                .ok_or_else(|| Error::InvalidStructure("top-k block range out of bounds".into()))?;
+            let gb = bounds
+                .g
+                .get(bs..be)
+                .ok_or_else(|| Error::InvalidStructure("top-k block range out of bounds".into()))?;
             let mut t_max = 0.0f64;
             let mut dot = 0.0f64;
             let mut bad = false;
@@ -755,7 +756,8 @@ mod tests {
     fn pruned_matches_full_exactly() {
         for xi in [0.0, 1e-4] {
             let g = caves(8);
-            let cfg = if xi == 0.0 { BearConfig::exact(0.15) } else { BearConfig::approx(0.15, xi) };
+            let cfg =
+                if xi == 0.0 { BearConfig::exact(0.15) } else { BearConfig::approx(0.15, xi) };
             let bear = Bear::new(&g, &cfg).unwrap();
             let n = bear.num_nodes();
             for seed in 0..n {

@@ -212,11 +212,7 @@ fn topk_smaller_k_is_served_from_cache_prefix() {
 
     let small = client::get(addr, "/v1/topk?graph=g&seed=3&k=3", &[]).unwrap();
     assert_eq!(small.status, 200, "{}", small.body_str());
-    assert_eq!(
-        scrape_cache_hits(addr),
-        hits_after_big + 1,
-        "k' <= cached k must be a cache hit"
-    );
+    assert_eq!(scrape_cache_hits(addr), hits_after_big + 1, "k' <= cached k must be a cache hit");
 
     // The k=3 payload is the exact character-level prefix of the k=8
     // node list (same nodes, same order, same shortest-round-trip f64s).
