@@ -320,6 +320,40 @@ fn huge_usize_array_element_is_rejected() {
     assert_rejected(&bytes, &path, "u64::MAX permutation entry");
 }
 
+/// The array decoder takes a whole array with one bounds check, so a
+/// length prefix must still be held against what remains: one element
+/// more than the payload holds fails typed, naming the section.
+#[test]
+fn length_prefix_one_past_the_payload_is_rejected() {
+    let (mut bytes, path) = saved_index("prefix_past_end");
+    // `h21`'s values are the last array of the last section.
+    let values = walk(&bytes).matrices[5].values;
+    write_u64_at(&mut bytes, values.data - 8, values.len as u64 + 1);
+    let err = assert_rejected(&bytes, &path, "length prefix one past the payload");
+    assert!(
+        matches!(&err, Error::CorruptIndex { section: "h21", detail } if detail.contains("length prefix")),
+        "want h21 named with the bad prefix, got: {err:?}"
+    );
+}
+
+/// A payload that ends three bytes into its last element fails typed,
+/// naming the section; no partial element is dropped or read past.
+#[test]
+fn array_cut_mid_element_is_rejected() {
+    let (bytes, path) = saved_index("cut_mid_element");
+    let (payload, len) = walk_frames(&bytes)[9]; // h21, ending in its values
+    let mut cut = bytes[..payload + len - 3].to_vec();
+    cut.extend_from_slice(&bytes[payload + len..]);
+    write_u64_at(&mut cut, payload - 8, len as u64 - 3);
+    let total = cut.len();
+    write_u64_at(&mut cut, total - 8, total as u64); // trailer's file length
+    let err = assert_rejected(&cut, &path, "array cut mid-element");
+    assert!(
+        matches!(&err, Error::CorruptIndex { section: "h21", detail } if detail.contains("length prefix")),
+        "want h21 named with the short array, got: {err:?}"
+    );
+}
+
 #[test]
 fn untouched_round_trip_still_loads() {
     // Control: the walker itself proves the layout assumption, and an
@@ -401,6 +435,24 @@ fn fix_checksums_v3(bytes: &mut [u8]) {
     }
     let region_crc = crc32::crc32(&bytes[resident_off..trailer_off]);
     bytes[trailer_off + 8..trailer_off + 12].copy_from_slice(&region_crc.to_le_bytes());
+}
+
+/// Offset of `SDIR` entry `i` (offset, frame_len, crc, block_dim,
+/// l1_nnz, u1_nnz: six `u64`s).
+fn sdir_entry_v3(bytes: &[u8], i: usize) -> usize {
+    let trailer_off = bytes.len() - TRAILER_LEN_V3;
+    let mut pos = read_u64_at(bytes, trailer_off + 12) as usize;
+    while &bytes[pos..pos + 4] != b"SDIR" {
+        pos += 12 + read_u64_at(bytes, pos + 4) as usize + 4;
+    }
+    pos + 12 + 8 + 48 * i
+}
+
+/// The six length-prefixed arrays of a segment payload: `L₁⁻¹` then
+/// `U₁⁻¹`, each as indptr, indices, values.
+fn segment_arrays(bytes: &[u8], payload: usize) -> Vec<ArraySpan> {
+    let mut pos = payload + 16; // block index + block dimension
+    (0..6).map(|_| walk_array(bytes, &mut pos)).collect()
 }
 
 /// Same graph as [`saved_index`], persisted in the sharded v3 layout.
@@ -506,6 +558,52 @@ fn v3_segment_nan_value_is_rejected() {
     bytes[pos + 8..pos + 16].copy_from_slice(&f64::NAN.to_le_bytes());
     let err = assert_v3_rejected(&bytes, &path, "NaN in a shard's values");
     assert!(format!("{err}").contains("non-finite"), "detail lost the root cause: {err}");
+}
+
+/// As the v2 case: a segment whose last array claims one element more
+/// than the payload holds fails typed, naming the shard.
+#[test]
+fn v3_segment_length_prefix_one_past_the_payload_is_rejected() {
+    let (mut bytes, path) = saved_index_v3("prefix_past_end");
+    let (payload, _) = walk_segments_v3(&bytes)[0];
+    let u1_values = segment_arrays(&bytes, payload)[5];
+    write_u64_at(&mut bytes, u1_values.data - 8, u1_values.len as u64 + 1);
+    let err = assert_v3_rejected(&bytes, &path, "segment length prefix one past the payload");
+    assert!(
+        matches!(&err, Error::CorruptIndex { section: "spoke_segment", detail }
+            if detail.contains("shard 0") && detail.contains("length prefix")),
+        "want shard 0 named with the bad prefix, got: {err:?}"
+    );
+}
+
+/// A segment payload that ends three bytes into its last element, with
+/// the frame, directory and trailer all agreeing on the shorter length,
+/// fails typed, naming the shard.
+#[test]
+fn v3_segment_array_cut_mid_element_is_rejected() {
+    let (bytes, path) = saved_index_v3("cut_mid_element");
+    let segments = walk_segments_v3(&bytes);
+    let last = segments.len() - 1;
+    // The last segment sits right before the resident region, so only
+    // its own lengths and the trailer's offsets move.
+    let (payload, len) = segments[last];
+    let mut cut = bytes[..payload + len - 3].to_vec();
+    cut.extend_from_slice(&bytes[payload + len..]);
+    write_u64_at(&mut cut, payload - 8, len as u64 - 3);
+    let trailer_off = cut.len() - TRAILER_LEN_V3;
+    let resident_off = read_u64_at(&cut, trailer_off + 12);
+    write_u64_at(&mut cut, trailer_off + 12, resident_off - 3);
+    write_u64_at(&mut cut, trailer_off + 20, (trailer_off + TRAILER_LEN_V3) as u64);
+    let entry = sdir_entry_v3(&cut, last);
+    let frame_len = read_u64_at(&cut, entry + 8);
+    write_u64_at(&mut cut, entry + 8, frame_len - 3);
+    let err = assert_v3_rejected(&cut, &path, "segment array cut mid-element");
+    let shard = format!("shard {last}");
+    assert!(
+        matches!(&err, Error::CorruptIndex { section: "spoke_segment", detail }
+            if detail.contains(&shard) && detail.contains("length prefix")),
+        "want {shard} named with the short array, got: {err:?}"
+    );
 }
 
 #[test]

@@ -29,12 +29,8 @@ impl CscMatrix {
         indices: Vec<usize>,
         values: Vec<f64>,
     ) -> Result<Self> {
-        // Validate by borrowing the CSR checker on the transposed shape.
-        let as_csr = CsrMatrix::from_raw(ncols, nrows, indptr, indices, values)?;
-        let (indptr, indices, values) = {
-            let t = as_csr;
-            (t.indptr().to_vec(), t.indices().to_vec(), t.values().to_vec())
-        };
+        // Columns are the outer axis, row indices the inner.
+        check_compressed("column", ncols, nrows, &indptr, &indices, &values)?;
         Ok(CscMatrix { nrows, ncols, indptr, indices, values })
     }
 
@@ -358,6 +354,36 @@ mod tests {
         // Valid 2x1 column.
         let m = CscMatrix::from_raw(2, 1, vec![0, 2], vec![0, 1], vec![1.0, 2.0]).unwrap();
         assert_eq!(m.get(1, 0), 2.0);
+    }
+
+    /// Each malformed class is a typed error, and a message that names
+    /// an axis names the outer one, "column". The out-of-bounds row
+    /// index carries its bound instead: the row count, not the column
+    /// count.
+    #[test]
+    fn from_raw_errors_name_the_column_axis() {
+        // 3 × 4, columns {0, 2}, {1}, {}, {2}.
+        let (indptr, indices) = (vec![0, 2, 3, 3, 4], vec![0, 2, 1, 2]);
+        let values = vec![1.0, 2.0, 3.0, 4.0];
+        assert!(CscMatrix::from_raw(3, 4, indptr.clone(), indices.clone(), values.clone()).is_ok());
+        let cases: [(&str, Vec<usize>, Vec<usize>); 5] = [
+            ("indptr length", vec![0, 2, 3, 4], indices.clone()),
+            ("indptr[0]", vec![1, 2, 3, 3, 4], indices.clone()),
+            ("nnz mismatch", vec![0, 2, 3, 3, 5], indices.clone()),
+            ("decreasing indptr", vec![0, 2, 1, 3, 4], indices.clone()),
+            ("unsorted indices", indptr.clone(), vec![2, 0, 1, 2]),
+        ];
+        for (class, indptr, indices) in cases {
+            match CscMatrix::from_raw(3, 4, indptr, indices, values.clone()) {
+                Err(Error::InvalidStructure(msg)) => {
+                    assert!(msg.contains("column"), "{class}: {msg}");
+                    assert!(!msg.contains("row"), "{class}: {msg}");
+                }
+                other => panic!("{class}: expected InvalidStructure, got {other:?}"),
+            }
+        }
+        let err = CscMatrix::from_raw(3, 4, indptr, vec![0, 2, 1, 3], values).unwrap_err();
+        assert_eq!(err, Error::IndexOutOfBounds { index: 3, bound: 3 }, "out-of-bounds index");
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub(crate) fn check_compressed(
         )));
     }
     if indptr[0] != 0 {
-        return Err(Error::InvalidStructure("indptr[0] != 0".into()));
+        return Err(Error::InvalidStructure(format!("indptr[0] {} != 0 at {axis} 0", indptr[0])));
     }
     if indices.len() != values.len() {
         return Err(Error::InvalidStructure(format!(
@@ -73,7 +73,7 @@ pub(crate) fn check_compressed(
     }
     if *indptr.last().unwrap() != indices.len() {
         return Err(Error::InvalidStructure(format!(
-            "indptr[last] {} != nnz {}",
+            "indptr[last] {} != nnz {} across {outer} {axis}s",
             indptr.last().unwrap(),
             indices.len()
         )));
