@@ -3,16 +3,16 @@
 //! every cell — the artifact CI uploads so a regression shows exactly
 //! which damage class started slipping through.
 //!
-//! The grid runs over **both persisted formats**: the monolithic v2
-//! image and the sharded out-of-core v3 image (whose cells add
-//! segment-boundary truncations and bit flips inside shard payloads,
-//! the segment directory, and the v3 trailer). Each cell applies one
-//! corruption (truncation to a fraction of the file, a single bit flip
-//! at a position, header garbage, trailing junk) and asserts the
-//! durability contract: `Bear::load` must either return the typed
-//! `CorruptIndex` error or — only when the damage is a full-length
-//! no-op — answer bit-identically to the undamaged index. Any panic,
-//! untyped error, or silently absorbed corruption fails the run.
+//! The grid runs over the index as `Bear::save` writes it: whole-file
+//! cells (truncation to a fraction of the file, a single bit flip at a
+//! position, header garbage, a retired v1/v2 magic, trailing junk) and
+//! shard cells (segment-boundary truncations and bit flips inside shard
+//! payloads, the segment directory, and the trailer). Each cell
+//! applies one corruption and asserts the durability contract:
+//! `Bear::load` must either return the typed `CorruptIndex` error or —
+//! only when the damage is a full-length no-op — answer bit-identically
+//! to the undamaged index. Any panic, untyped error, or silently
+//! absorbed corruption fails the run.
 //!
 //! ```text
 //! cargo run --release -p bear-bench --bin durability_matrix -- \
@@ -25,8 +25,7 @@ use bear_sparse::Error;
 use std::path::PathBuf;
 
 struct Cell {
-    /// Damage class label (JSON `method` column, prefixed with the
-    /// format version).
+    /// Damage class label (JSON `method` column).
     class: &'static str,
     /// Cell parameter (offset/fraction description).
     param: String,
@@ -34,9 +33,11 @@ struct Cell {
     bytes: Vec<u8>,
 }
 
-/// The format-agnostic damage grid. `trailer_len` steers the
-/// "all_but_trailer" cut (20 bytes for v2, 28 for v3).
-fn cells(full: &[u8], trailer_len: usize) -> Vec<Cell> {
+/// Length of the index trailer.
+const TRAILER_LEN: usize = 28;
+
+/// Damage to the file as a whole.
+fn cells(full: &[u8]) -> Vec<Cell> {
     let len = full.len();
     let mut cells = Vec::new();
     // Torn writes: prefixes at coarse fractions plus the exact frame
@@ -48,7 +49,7 @@ fn cells(full: &[u8], trailer_len: usize) -> Vec<Cell> {
         ("1/4", len / 4),
         ("1/2", len / 2),
         ("3/4", 3 * len / 4),
-        ("all_but_trailer", len.saturating_sub(trailer_len)),
+        ("all_but_trailer", len.saturating_sub(TRAILER_LEN)),
         ("all_but_one", len - 1),
     ] {
         cells.push(Cell {
@@ -59,7 +60,7 @@ fn cells(full: &[u8], trailer_len: usize) -> Vec<Cell> {
     }
     // Bit rot: single flips spread across the span, including the
     // header, the first payload, and the trailer checksum itself.
-    for byte in [0, 7, 9, 33, len / 3, len / 2, len - trailer_len - 1, len - 9, len - 1] {
+    for byte in [0, 7, 9, 33, len / 3, len / 2, len - TRAILER_LEN - 1, len - 9, len - 1] {
         let mut bytes = full.to_vec();
         bytes[byte] ^= 1 << (byte % 8);
         cells.push(Cell { class: "bit_flip", param: format!("byte {byte}"), bytes });
@@ -69,6 +70,13 @@ fn cells(full: &[u8], trailer_len: usize) -> Vec<Cell> {
     wrong_magic[..8].copy_from_slice(b"NOTBEAR!");
     cells.push(Cell { class: "header", param: "wrong magic".into(), bytes: wrong_magic });
     cells.push(Cell { class: "header", param: "garbage".into(), bytes: vec![0x5A; 256] });
+    // A retired format's magic over the current body: refused by name.
+    for legacy in [b"BEARIDX1", b"BEARIDX2"] {
+        let mut bytes = full.to_vec();
+        bytes[..8].copy_from_slice(legacy);
+        let param = format!("legacy magic {}", String::from_utf8_lossy(legacy));
+        cells.push(Cell { class: "header", param, bytes });
+    }
     // Appended junk: the trailer records the true length, so trailing
     // bytes are torn-write debris and must be rejected.
     let mut padded = full.to_vec();
@@ -77,14 +85,14 @@ fn cells(full: &[u8], trailer_len: usize) -> Vec<Cell> {
     cells
 }
 
-/// v3-only cells aimed at the sharded layout: cuts on and inside
-/// segment frames, flips in a shard payload, the resident region
-/// (which holds the `SDIR` segment directory), and the trailer's
-/// resident-offset field.
-fn v3_shard_cells(full: &[u8]) -> Vec<Cell> {
+/// Cells aimed at the sharded layout: cuts on and inside segment
+/// frames, flips in a shard payload, the resident region (which holds
+/// the `SDIR` segment directory), and the trailer's resident-offset
+/// field.
+fn shard_cells(full: &[u8]) -> Vec<Cell> {
     let read_u64 =
         |pos: usize| u64::from_le_bytes(full[pos..pos + 8].try_into().expect("u64 window"));
-    let trailer_off = full.len() - 28;
+    let trailer_off = full.len() - TRAILER_LEN;
     let resident_off = read_u64(trailer_off + 12) as usize;
     let mut cells = Vec::new();
 
@@ -130,12 +138,11 @@ fn v3_shard_cells(full: &[u8]) -> Vec<Cell> {
     cells
 }
 
-/// Runs every cell against one persisted format, appending a row per
-/// cell. Returns the number of contract violations.
+/// Runs every cell, appending a row per cell. Returns the number of
+/// contract violations.
 fn run_grid(
     out: &mut ExperimentResult,
     dataset: &str,
-    version_tag: &str,
     path: &PathBuf,
     reference: &[f64],
     grid: Vec<Cell>,
@@ -171,7 +178,7 @@ fn run_grid(
         if !verdicts_agree {
             failures += 1;
         }
-        let mut row = ResultRow::new(dataset, &format!("{version_tag}_{}", cell.class));
+        let mut row = ResultRow::new(dataset, cell.class);
         row.param = Some(format!("{}: load={outcome} verify_agrees={verdicts_agree}", cell.param));
         row.memory_bytes = Some(cell.bytes.len());
         if outcome.starts_with("PANIC")
@@ -200,48 +207,37 @@ fn main() {
     let mut out = ExperimentResult::new(
         "durability_matrix",
         &format!(
-            "read-side corruption grid over v2 and sharded v3 images of '{dataset}': every \
-             cell must fail with the typed CorruptIndex error (never panic, never load \
-             damaged data); verify_index must agree with load on every cell"
+            "read-side corruption grid over the sharded index of '{dataset}': every cell \
+             must fail with the typed CorruptIndex error (never panic, never load damaged \
+             data); verify_index must agree with load on every cell"
         ),
     );
 
-    let mut failures = 0u32;
-    for version in [2u32, 3] {
-        let path: PathBuf =
-            std::env::temp_dir().join(format!("bear_durability_matrix_v{version}.idx"));
-        match version {
-            2 => bear.save(&path).expect("save v2"),
-            _ => bear.save_v3(&path).expect("save v3"),
-        }
-        let full = std::fs::read(&path).expect("read image");
+    let path: PathBuf = std::env::temp_dir().join("bear_durability_matrix.idx");
+    bear.save(&path).expect("save");
+    let full = std::fs::read(&path).expect("read image");
 
-        // The pristine image must verify end to end before any cell runs.
-        let report = persist::verify_index(&path).expect("fresh index must verify");
-        assert_eq!(report.version, version);
+    // The pristine image must verify end to end before any cell runs.
+    let report = persist::verify_index(&path).expect("fresh index must verify");
+    assert_eq!(report.version, 3);
 
-        let trailer_len = if version == 2 { 20 } else { 28 };
-        let mut grid = cells(&full, trailer_len);
-        if version == 3 {
-            grid.extend(v3_shard_cells(&full));
-        }
-        let tag = format!("v{version}");
-        failures += run_grid(&mut out, &dataset, &tag, &path, &reference, grid);
+    let mut grid = cells(&full);
+    grid.extend(shard_cells(&full));
+    let failures = run_grid(&mut out, &dataset, &path, &reference, grid);
 
-        // Control: restore the pristine image and prove it still answers.
-        std::fs::write(&path, &full).expect("restore");
-        let restored = Bear::load(&path).expect("restored image must load");
-        let answer = restored.query(0).expect("restored query");
-        assert!(
-            answer.iter().zip(&reference).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "{tag} control answer drifted"
-        );
-        std::fs::remove_file(&path).ok();
-    }
+    // Control: restore the pristine image and prove it still answers.
+    std::fs::write(&path, &full).expect("restore");
+    let restored = Bear::load(&path).expect("restored image must load");
+    let answer = restored.query(0).expect("restored query");
+    assert!(
+        answer.iter().zip(&reference).all(|(a, b)| a.to_bits() == b.to_bits()),
+        "control answer drifted"
+    );
+    std::fs::remove_file(&path).ok();
 
     out.print_table();
     out.write_json(&json_path).expect("write json");
     println!("wrote {json_path} ({} cells)", out.rows.len());
     assert_eq!(failures, 0, "{failures} durability cell(s) violated the corruption contract");
-    println!("durability matrix clean: every damaged image failed typed (v2 and v3)");
+    println!("durability matrix clean: every damaged image failed typed");
 }

@@ -60,10 +60,10 @@ pub enum Command {
         /// Preprocessing worker threads (0 = all cores). The index is
         /// bit-identical for any thread count.
         threads: usize,
-        /// Stream finished spoke blocks to a sharded v3 index
+        /// Stream finished spoke blocks straight to the index
         /// (`--out-of-core`): peak preprocessing memory stays independent
         /// of the total factor size, and the written file is byte-for-byte
-        /// identical to an in-memory `save_v3`.
+        /// identical to `Bear::save` of the in-memory index.
         out_of_core: bool,
     },
     /// Query a saved index.
@@ -154,9 +154,9 @@ pub struct ServeFlags {
     /// Restart probability for the fallback solver when the index (and
     /// its stored `c`) could not be loaded (`--c`).
     pub c: f64,
-    /// Resident-set cap in MiB for the spoke-block pager of an
-    /// out-of-core (v3) index (`--resident-mb`; 0 keeps the load-time
-    /// budget, i.e. unlimited). Ignored for fully resident indexes.
+    /// Resident-set cap in MiB for the index's spoke-block pager
+    /// (`--resident-mb`; 0 keeps the load-time budget, i.e. unlimited).
+    /// Ignored for fully resident indexes.
     pub resident_mb: u64,
 }
 
@@ -370,10 +370,10 @@ PREPROCESS FLAGS:
   --xi F               drop tolerance; 0 = exact BEAR (default 0)
   --threads N          preprocessing worker threads; 0 = all cores. The
                        written index is bit-identical for any N.
-  --out-of-core        stream finished spoke blocks to a sharded v3 index:
+  --out-of-core        stream finished spoke blocks straight to the index:
                        peak preprocessing memory is independent of the
                        total factor size, and the file is byte-identical
-                       to an in-memory v3 save
+                       to the in-memory save
 
 SERVING FLAGS (query/batch):
   --queue-cap N        admission-control bound on queued jobs (0 = default)
@@ -386,9 +386,9 @@ SERVING FLAGS (query/batch):
                        index load serves degraded-only instead of exiting
   --c F                restart probability for the fallback when the index
                        (and its stored c) could not be loaded (default 0.05)
-  --resident-mb N      resident-set cap (MiB) for the spoke-block pager of
-                       an out-of-core (v3) index; blocks beyond the cap are
-                       paged from disk on demand, answers stay bit-identical.
+  --resident-mb N      resident-set cap (MiB) for the index's spoke-block
+                       pager; blocks beyond the cap are paged from disk
+                       on demand, answers stay bit-identical.
                        0 keeps the load-time budget; ignored for fully
                        resident indexes
 
@@ -712,10 +712,8 @@ pub fn run(cmd: &Command, out: &mut dyn std::io::Write) -> Result<()> {
                 report.version, report.file_len, report.n1, report.n2, report.c
             )
             .map_err(io_err)?;
-            if report.version >= 3 {
-                writeln!(out, "  spoke segments: {} shards, crc ok", report.segments)
-                    .map_err(io_err)?;
-            }
+            writeln!(out, "  spoke segments: {} shards, crc ok", report.segments)
+                .map_err(io_err)?;
             for s in &report.sections {
                 writeln!(out, "  section {}: {} bytes, crc ok", s.tag, s.len).map_err(io_err)?;
             }
@@ -849,7 +847,7 @@ mod tests {
         // --threads defaults to 0 (all cores).
         let cmd = parse(&["preprocess", "g.txt", "g.idx"]).unwrap();
         assert!(matches!(cmd, Command::Preprocess { threads: 0, out_of_core: false, .. }));
-        // --out-of-core switches to the streamed v3 writer.
+        // --out-of-core switches to streamed preprocessing.
         let cmd = parse(&["preprocess", "g.txt", "g.idx", "--out-of-core"]).unwrap();
         assert!(matches!(cmd, Command::Preprocess { out_of_core: true, .. }));
     }
@@ -1149,7 +1147,8 @@ mod tests {
         buf.clear();
         run(&verify, &mut buf).unwrap();
         let text = String::from_utf8_lossy(&buf);
-        assert!(text.contains(": OK (format v2"), "{text}");
+        assert!(text.contains(": OK (format v3"), "{text}");
+        assert!(text.contains("spoke segments: "), "{text}");
         assert!(text.contains("section META: 24 bytes, crc ok"), "{text}");
         assert!(text.contains("section H12M"), "{text}");
 

@@ -1,9 +1,9 @@
 //! CRC-32 (IEEE 802.3, the zlib/PNG polynomial) over byte slices.
 //!
-//! The v2 index format frames every section with a CRC of its payload
-//! plus a whole-file trailer checksum (see [`crate::persist`]), so a
-//! torn write, truncation, or bit rot is detected *before* any parsing
-//! touches the bytes. The build environment is offline, so the
+//! The index format frames every section and every spoke segment with a
+//! CRC of its payload, and its trailer checksums the resident region
+//! (see [`crate::persist`]), so a torn write, truncation, or bit rot is
+//! detected *before* any parsing touches the bytes. The build environment is offline, so the
 //! implementation is vendored here: the slice-by-16 variant, which folds
 //! sixteen input bytes per step through sixteen 256-entry tables
 //! computed at compile time, and finishes the tail a byte at a time.

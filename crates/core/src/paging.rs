@@ -647,14 +647,15 @@ impl SpokeFactors {
                 l1_inv.memory_bytes() + u1_inv.memory_bytes()
             }
             SpokeFactors::Paged { pager } => {
-                pager.directory().iter().map(|m| m.resident_bytes()).sum()
+                let (l1, u1) = self.nnz();
+                sparse_bytes(pager.dim(), l1) + sparse_bytes(pager.dim(), u1)
             }
         }
     }
 
     /// Materializes both whole matrices (fetching every block when
-    /// paged) — used by the v1/v2 writers and format conversion, never
-    /// by the query path.
+    /// paged) — used by `LoadOptions::resident` loads, never by the
+    /// query path.
     pub(crate) fn to_whole(&self) -> Result<(CscMatrix, CscMatrix)> {
         match self {
             SpokeFactors::Resident { l1_inv, u1_inv } => Ok((l1_inv.clone(), u1_inv.clone())),
@@ -676,24 +677,18 @@ impl SpokeFactors {
         }
     }
 
-    /// Splits resident whole matrices into per-block pairs (the v3
-    /// writer's segment source). Errors on cross-block entries.
-    pub(crate) fn split_pairs(&self, block_sizes: &[usize]) -> Result<Vec<FactorPair>> {
-        let (l1, u1) = self.to_whole()?;
-        let mut pairs = Vec::with_capacity(block_sizes.len());
-        let mut bs = 0usize;
-        for &sz in block_sizes {
-            let be = bs + sz;
-            pairs.push(FactorPair::new(split_block(&l1, bs, be)?, split_block(&u1, bs, be)?)?);
-            bs = be;
+    /// Diagonal block `b`, spanning `[bs, be)`, as a block-local pair:
+    /// sliced out of the whole factors when resident (erroring on
+    /// cross-block entries), fetched when paged. The index writer's
+    /// segment source, never used by the query path.
+    pub(crate) fn block(&self, b: usize, bs: usize, be: usize) -> Result<Arc<FactorPair>> {
+        match self {
+            SpokeFactors::Resident { l1_inv, u1_inv } => Ok(Arc::new(FactorPair::new(
+                split_block(l1_inv, bs, be)?,
+                split_block(u1_inv, bs, be)?,
+            )?)),
+            SpokeFactors::Paged { pager } => pager.fetch(b),
         }
-        if bs != l1.ncols() {
-            return Err(Error::InvalidStructure(format!(
-                "block sizes sum to {bs}, expected {}",
-                l1.ncols()
-            )));
-        }
-        Ok(pairs)
     }
 
     /// `Y = U₁⁻¹(L₁⁻¹X)` — one `H₁₁⁻¹` application to every column of

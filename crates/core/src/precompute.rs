@@ -324,7 +324,7 @@ impl SchurAccumulator {
 /// the total index size.
 ///
 /// The output is byte-for-byte identical to
-/// `Bear::new(g, config)?.save_v3(path)`: per-block factorization and
+/// `Bear::new(g, config)?.save(path)`: per-block factorization and
 /// inversion follow the exact code path of [`BlockDiagLu::factor`], the
 /// Schur complement is accumulated in the global kernel's visitation
 /// order (see `SchurAccumulator`), and the drop tolerance filters per
@@ -722,7 +722,7 @@ mod tests {
     }
 
     /// The streamed out-of-core preprocessing path must write the exact
-    /// bytes `Bear::new` + `save_v3` would: per-block factorization,
+    /// bytes `Bear::new` + `save` would: per-block factorization,
     /// the block-streamed Schur complement, and per-block sparsification
     /// are all proven bit-identical to the in-memory pipeline by
     /// comparing the finished images directly.
@@ -744,7 +744,7 @@ mod tests {
                 if xi == 0.0 { BearConfig::exact(0.12) } else { BearConfig::approx(0.12, xi) };
             let a = std::env::temp_dir().join(format!("bear_stream_{tag}_mem.idx"));
             let b = std::env::temp_dir().join(format!("bear_stream_{tag}_disk.idx"));
-            Bear::new(&g, &cfg).unwrap().save_v3(&a).unwrap();
+            Bear::new(&g, &cfg).unwrap().save(&a).unwrap();
             preprocess_to_disk(&g, &cfg, &b).unwrap();
             let (ba, bb) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
             std::fs::remove_file(&a).ok();

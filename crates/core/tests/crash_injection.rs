@@ -9,7 +9,9 @@
 //! serve wrong answers.** And on the write side: **a crash (injected
 //! failure) at any step of `Bear::save` leaves the previous index
 //! intact and loadable; only a fully synced, renamed image ever
-//! occupies the target path.**
+//! occupies the target path.** `Bear::save` and `preprocess_to_disk`
+//! publish through one streaming writer, so its failpoint sites cover
+//! both.
 //!
 //! Run via:
 //!
@@ -24,6 +26,10 @@ use std::path::PathBuf;
 
 #[cfg(feature = "failpoints")]
 use bear_core::failpoints::{self, FailAction};
+#[cfg(feature = "failpoints")]
+use bear_core::preprocess_to_disk;
+#[cfg(feature = "failpoints")]
+use std::path::Path;
 #[cfg(feature = "failpoints")]
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -63,8 +69,12 @@ fn test_graph() -> Graph {
     Graph::from_edges(14, &edges).unwrap()
 }
 
+fn config() -> BearConfig {
+    BearConfig::exact(0.15)
+}
+
 fn build() -> Bear {
-    Bear::new(&test_graph(), &BearConfig::exact(0.15)).unwrap()
+    Bear::new(&test_graph(), &config()).unwrap()
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -87,6 +97,9 @@ fn assert_no_temp_files(stem: &str) {
 // ---------------------------------------------------------------------------
 // Read-side property sweep (default features): every truncation and
 // every probed bit flip of a valid image fails typed, never panics.
+// Every shard carries its own CRC frame, so damage anywhere — a
+// segment, the directory, the resident region, the trailer — must fail
+// typed at load, never at query time from a page fault.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -116,7 +129,7 @@ fn every_truncation_fails_typed_or_loads_identically() {
 }
 
 #[test]
-fn every_probed_bit_flip_fails_typed_or_loads_identically() {
+fn every_probed_bit_flip_fails_typed_at_load() {
     #[cfg(feature = "failpoints")]
     let _serial = serial();
     let bear = build();
@@ -125,17 +138,19 @@ fn every_probed_bit_flip_fails_typed_or_loads_identically() {
     let full = std::fs::read(&path).unwrap();
     let reference = bear.query(7).unwrap();
 
-    // Probe every byte with a stride-free single-bit flip (bit index
-    // varies with position so all eight bit lanes are covered).
+    // The load-time sweep CRC-checks every segment frame as well as the
+    // resident region, so no byte of the file is outside a checksummed
+    // span: every flip must be caught *at load*, before any query can
+    // page a damaged shard in. The bit index varies with position so
+    // all eight bit lanes are covered.
     for byte in 0..full.len() {
         let bit = byte % 8;
         let mut bytes = full.clone();
         bytes[byte] ^= 1 << bit;
         std::fs::write(&path, &bytes).unwrap();
         match Bear::load(&path) {
-            // A flip must never be silently absorbed. (CRC-32 detects
-            // all single-bit errors, so Ok here would mean the byte is
-            // outside the checksummed span — there is no such byte.)
+            // CRC-32 detects all single-bit errors, so Ok here would
+            // mean the byte is outside the checksummed span.
             Ok(_) => panic!("bit flip at byte {byte} bit {bit} was absorbed"),
             Err(Error::CorruptIndex { .. }) => {}
             Err(other) => panic!("flip at byte {byte} bit {bit}: untyped error {other:?}"),
@@ -168,18 +183,23 @@ fn save_over_existing_index_replaces_it_atomically() {
 // Write-side crash injection (failpoints feature).
 // ---------------------------------------------------------------------------
 
-/// Arms `site` with `action`, attempts to save `new_index` over an
-/// existing good index, asserts the save fails, and proves the previous
-/// index is still present bit-for-bit and loadable.
+/// Arms `site` with `action`, attempts to write the index over an
+/// existing good one with `write` (`Bear::save` or
+/// `preprocess_to_disk`), asserts the write fails, and proves the
+/// previous index is still present bit-for-bit and loadable.
 #[cfg(feature = "failpoints")]
-fn assert_crash_preserves_target(site: &'static str, action: FailAction, tag: &str) {
-    let bear = build();
+fn assert_crash_preserves_target(
+    site: &'static str,
+    action: FailAction,
+    tag: &str,
+    write: &dyn Fn(&Path) -> bear_sparse::Result<()>,
+) {
     let path = tmp(&format!("bear_crash_{tag}.idx"));
-    bear.save(&path).unwrap();
+    build().save(&path).unwrap();
     let before = std::fs::read(&path).unwrap();
 
     failpoints::configure(site, action);
-    let err = bear.save(&path).unwrap_err();
+    let err = write(&path).unwrap_err();
     failpoints::clear(site);
     assert!(
         matches!(err, Error::InvalidStructure(_)),
@@ -193,39 +213,42 @@ fn assert_crash_preserves_target(site: &'static str, action: FailAction, tag: &s
 }
 
 #[cfg(feature = "failpoints")]
-#[test]
-fn crash_before_write_preserves_previous_index() {
-    let _serial = serial();
-    assert_crash_preserves_target("persist::save::write", FailAction::Fail, "w_fail");
+fn save(path: &Path) -> bear_sparse::Result<()> {
+    build().save(path)
+}
+
+#[cfg(feature = "failpoints")]
+fn preprocess(path: &Path) -> bear_sparse::Result<()> {
+    preprocess_to_disk(&test_graph(), &config(), path)
 }
 
 #[cfg(feature = "failpoints")]
 #[test]
-fn torn_write_crash_preserves_previous_index() {
+fn crash_at_any_save_step_preserves_previous_index() {
     let _serial = serial();
-    // Truncation points must fall inside the image — a cut at or past
-    // the end is a complete write, which (correctly) succeeds.
+    assert_crash_preserves_target("persist::save::write", FailAction::Fail, "w_fail", &save);
+    assert_crash_preserves_target("persist::save::sync", FailAction::Fail, "sync_fail", &save);
+    assert_crash_preserves_target("persist::save::rename", FailAction::Fail, "rename_fail", &save);
+}
+
+#[cfg(feature = "failpoints")]
+#[test]
+fn v3_torn_stream_crash_preserves_previous_index() {
+    let _serial = serial();
     let probe = tmp("bear_crash_size_probe.idx");
     build().save(&probe).unwrap();
     let size = std::fs::metadata(&probe).unwrap().len();
     std::fs::remove_file(&probe).ok();
-    for k in [0, 1, size / 3, size - 1] {
-        assert_crash_preserves_target("persist::save::write", FailAction::TruncateAt(k), "w_torn");
+    // Cuts landing mid-segment, mid-resident-region, and inside the
+    // trailer — the streaming writer must discard the torn temp file in
+    // every case, whether a finished index or preprocessing feeds it.
+    // Cuts at or past the end are a complete write, which (correctly)
+    // succeeds.
+    for k in [0, 1, size / 4, size / 3, size / 2, size - 1] {
+        let torn = || FailAction::TruncateAt(k);
+        assert_crash_preserves_target("persist::save::write", torn(), "torn", &save);
+        assert_crash_preserves_target("persist::save::write", torn(), "torn_stream", &preprocess);
     }
-}
-
-#[cfg(feature = "failpoints")]
-#[test]
-fn crash_before_fsync_preserves_previous_index() {
-    let _serial = serial();
-    assert_crash_preserves_target("persist::save::sync", FailAction::Fail, "sync_fail");
-}
-
-#[cfg(feature = "failpoints")]
-#[test]
-fn rename_failure_preserves_previous_index() {
-    let _serial = serial();
-    assert_crash_preserves_target("persist::save::rename", FailAction::Fail, "rename_fail");
 }
 
 #[cfg(feature = "failpoints")]
@@ -243,23 +266,26 @@ fn first_save_crash_leaves_no_target_at_all() {
     assert_no_temp_files("bear_crash_first_save");
 }
 
-/// The lying-disk scenario: the temp file is corrupted *after* the
-/// fsync and the rename then succeeds, so `save` reports Ok with a
-/// damaged artifact in place. The durability contract moves to the read
-/// side: load must fail typed and quarantine must capture the artifact.
+/// The lying-disk scenario: the temp file is damaged *after* the fsync
+/// and the rename then succeeds, so `save` reports Ok with a damaged
+/// artifact in place. The durability contract moves to the read side:
+/// `load_or_quarantine` must fail typed and move the artifact aside —
+/// truncations and bit rot alike.
 #[cfg(feature = "failpoints")]
 #[test]
-fn lying_disk_torn_image_is_caught_at_load_and_quarantined() {
+fn lying_disk_damage_is_caught_at_load_and_quarantined() {
     let _serial = serial();
     let bear = build();
-    let path = tmp("bear_crash_lying_trunc.idx");
-    let quarantined = tmp("bear_crash_lying_trunc.idx.corrupt");
+    let path = tmp("bear_crash_lying.idx");
+    let quarantined = tmp("bear_crash_lying.idx.corrupt");
     std::fs::remove_file(&quarantined).ok();
 
     bear.save(&path).unwrap();
     let full_len = std::fs::read(&path).unwrap().len() as u64;
 
-    for k in [0, 8, 27, full_len / 2, full_len - 1] {
+    // Torn tails: cuts inside the segment region, the resident region,
+    // and the trailer.
+    for k in [0, 8, 27, full_len / 4, full_len / 2, full_len - 1] {
         failpoints::configure("persist::save::torn", FailAction::TruncateAt(k));
         bear.save(&path).unwrap(); // the disk lies: save sees success
         failpoints::clear_all();
@@ -277,195 +303,25 @@ fn lying_disk_torn_image_is_caught_at_load_and_quarantined() {
         // Re-seed a good index for the next round.
         bear.save(&path).unwrap();
     }
-    std::fs::remove_file(&path).ok();
-}
 
-#[cfg(feature = "failpoints")]
-#[test]
-fn lying_disk_bit_rot_is_caught_at_load() {
-    let _serial = serial();
-    let bear = build();
-    let path = tmp("bear_crash_lying_flip.idx");
-    bear.save(&path).unwrap();
-    let bits = std::fs::metadata(&path).unwrap().len() * 8;
-
-    for bit in [0, 63, 64, 1001, bits / 2, bits - 1] {
+    // Bit rot in the magic, inside the first shard's payload (the
+    // segment region starts right after the 8-byte magic, so bit 200
+    // lands in segment bytes) and at spots across the rest of the image.
+    let bits = full_len * 8;
+    for bit in [0, 63, 64, 200, 64 * 8, 1001, bits / 3, bits / 2, bits - 1] {
         failpoints::configure("persist::save::torn", FailAction::BitFlip(bit));
         bear.save(&path).unwrap();
         failpoints::clear_all();
 
-        let err = Bear::load(&path).unwrap_err();
+        let err = Bear::load_or_quarantine(&path).unwrap_err();
         assert!(
             matches!(err, Error::CorruptIndex { .. }),
             "bit rot at bit {bit} must fail typed, got: {err:?}"
         );
+        assert!(!path.exists(), "rotten artifact (bit {bit}) was not quarantined");
+        assert!(quarantined.exists(), "quarantine file missing for bit {bit}");
+        std::fs::remove_file(&quarantined).ok();
         bear.save(&path).unwrap();
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-// ---------------------------------------------------------------------------
-// Sharded v3 images: the same durability contract, segment by segment.
-// The streamed writer shares the v2 failpoint sites, and every shard
-// carries its own CRC frame, so damage anywhere — a segment, the
-// directory, the resident region, the trailer — must fail typed at
-// load, never at query time from a page fault.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn v3_every_truncation_fails_typed_or_loads_identically() {
-    #[cfg(feature = "failpoints")]
-    let _serial = serial();
-    let bear = build();
-    let path = tmp("bear_crash_v3_trunc_sweep.idx");
-    bear.save_v3(&path).unwrap();
-    let full = std::fs::read(&path).unwrap();
-    let reference = bear.query(3).unwrap();
-
-    for keep in 0..=full.len() {
-        std::fs::write(&path, &full[..keep]).unwrap();
-        match Bear::load(&path) {
-            Ok(loaded) => {
-                assert_eq!(keep, full.len(), "a strict v3 prefix ({keep} bytes) loaded");
-                assert_eq!(loaded.query(3).unwrap(), reference);
-            }
-            Err(Error::CorruptIndex { .. }) => {}
-            Err(other) => panic!("v3 truncation to {keep} bytes: untyped error {other:?}"),
-        }
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn v3_every_probed_bit_flip_fails_typed_at_load() {
-    #[cfg(feature = "failpoints")]
-    let _serial = serial();
-    let bear = build();
-    let path = tmp("bear_crash_v3_flip_sweep.idx");
-    bear.save_v3(&path).unwrap();
-    let full = std::fs::read(&path).unwrap();
-    let reference = bear.query(7).unwrap();
-
-    // The load-time sweep CRC-checks every segment frame as well as the
-    // resident region, so no byte of the file is outside a checksummed
-    // span: every flip must be caught *at load*, before any query can
-    // page a damaged shard in.
-    for byte in 0..full.len() {
-        let bit = byte % 8;
-        let mut bytes = full.clone();
-        bytes[byte] ^= 1 << bit;
-        std::fs::write(&path, &bytes).unwrap();
-        match Bear::load(&path) {
-            Ok(_) => panic!("v3 bit flip at byte {byte} bit {bit} was absorbed"),
-            Err(Error::CorruptIndex { .. }) => {}
-            Err(other) => panic!("v3 flip at byte {byte} bit {bit}: untyped error {other:?}"),
-        }
-    }
-
-    std::fs::write(&path, &full).unwrap();
-    assert_eq!(Bear::load(&path).unwrap().query(7).unwrap(), reference);
-    std::fs::remove_file(&path).ok();
-}
-
-/// Like [`assert_crash_preserves_target`] but for the streamed v3
-/// writer, which shares the v2 failpoint sites.
-#[cfg(feature = "failpoints")]
-fn assert_v3_crash_preserves_target(site: &'static str, action: FailAction, tag: &str) {
-    let bear = build();
-    let path = tmp(&format!("bear_crash_v3_{tag}.idx"));
-    bear.save_v3(&path).unwrap();
-    let before = std::fs::read(&path).unwrap();
-
-    failpoints::configure(site, action);
-    let err = bear.save_v3(&path).unwrap_err();
-    failpoints::clear(site);
-    assert!(
-        matches!(err, Error::InvalidStructure(_)),
-        "injected v3 crash at {site} surfaced oddly: {err:?}"
-    );
-
-    assert_eq!(std::fs::read(&path).unwrap(), before, "v3 crash at {site} altered the target");
-    Bear::load(&path).unwrap();
-    assert_no_temp_files(&format!("bear_crash_v3_{tag}"));
-    std::fs::remove_file(&path).ok();
-}
-
-#[cfg(feature = "failpoints")]
-#[test]
-fn v3_crash_at_any_save_step_preserves_previous_index() {
-    let _serial = serial();
-    assert_v3_crash_preserves_target("persist::save::write", FailAction::Fail, "w_fail");
-    assert_v3_crash_preserves_target("persist::save::sync", FailAction::Fail, "sync_fail");
-    assert_v3_crash_preserves_target("persist::save::rename", FailAction::Fail, "rename_fail");
-}
-
-#[cfg(feature = "failpoints")]
-#[test]
-fn v3_torn_stream_crash_preserves_previous_index() {
-    let _serial = serial();
-    let probe = tmp("bear_crash_v3_size_probe.idx");
-    build().save_v3(&probe).unwrap();
-    let size = std::fs::metadata(&probe).unwrap().len();
-    std::fs::remove_file(&probe).ok();
-    // Cuts landing mid-segment, mid-resident-region, and inside the
-    // trailer — the streamed writer must discard the torn temp file in
-    // every case.
-    for k in [0, 1, size / 4, size / 2, size - 1] {
-        assert_v3_crash_preserves_target("persist::save::write", FailAction::TruncateAt(k), "torn");
-    }
-}
-
-/// The lying-disk scenario against shard segments: the temp file is
-/// damaged after the fsync and the rename succeeds, so a corrupt v3
-/// image lands at the target. `load_or_quarantine` must fail typed and
-/// move the artifact aside — truncations and bit rot alike.
-#[cfg(feature = "failpoints")]
-#[test]
-fn v3_lying_disk_damage_is_caught_at_load_and_quarantined() {
-    let _serial = serial();
-    let bear = build();
-    let path = tmp("bear_crash_v3_lying.idx");
-    let quarantined = tmp("bear_crash_v3_lying.idx.corrupt");
-    std::fs::remove_file(&quarantined).ok();
-
-    bear.save_v3(&path).unwrap();
-    let full_len = std::fs::read(&path).unwrap().len() as u64;
-
-    // Torn tails: cuts inside the segment region, the resident region,
-    // and the trailer.
-    for k in [0, 8, 27, full_len / 4, full_len / 2, full_len - 1] {
-        failpoints::configure("persist::save::torn", FailAction::TruncateAt(k));
-        bear.save_v3(&path).unwrap(); // the disk lies: save sees success
-        failpoints::clear_all();
-
-        let err = Bear::load_or_quarantine(&path).unwrap_err();
-        assert!(
-            matches!(err, Error::CorruptIndex { .. }),
-            "torn v3 image (cut to {k}) must fail typed, got: {err:?}"
-        );
-        assert!(!path.exists(), "torn v3 artifact (cut to {k}) was not quarantined");
-        assert!(quarantined.exists(), "quarantine file missing for v3 cut {k}");
-        std::fs::remove_file(&quarantined).ok();
-        bear.save_v3(&path).unwrap();
-    }
-
-    // Bit rot inside the first shard's payload (the segment region
-    // starts right after the 8-byte magic, so bit 200 lands in segment
-    // bytes) plus spots across the rest of the image.
-    let bits = full_len * 8;
-    for bit in [200, 64 * 8, bits / 3, bits / 2, bits - 1] {
-        failpoints::configure("persist::save::torn", FailAction::BitFlip(bit));
-        bear.save_v3(&path).unwrap();
-        failpoints::clear_all();
-
-        let err = Bear::load_or_quarantine(&path).unwrap_err();
-        assert!(
-            matches!(err, Error::CorruptIndex { .. }),
-            "v3 bit rot at bit {bit} must fail typed, got: {err:?}"
-        );
-        assert!(quarantined.exists(), "quarantine file missing for v3 bit {bit}");
-        std::fs::remove_file(&quarantined).ok();
-        bear.save_v3(&path).unwrap();
     }
     std::fs::remove_file(&path).ok();
 }

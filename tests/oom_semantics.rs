@@ -67,42 +67,33 @@ fn unlimited_budget_never_fails_for_budget_reasons() {
     assert!(LuDecomp::new(&g, &rwr, &unlimited).is_ok());
 }
 
-/// Exceeding the budget at load time means different things per format:
-/// a fully resident v1/v2 image that does not fit is a typed
-/// [`Error::OutOfBudget`], while a v3 image *pages* — the same budget
-/// that rejects the resident formats serves the sharded one, with
-/// answers bit-identical to an unlimited load.
+/// Exceeding the budget at load time means different things per
+/// residency: a fully resident load (`LoadOptions::resident`) that does
+/// not fit is a typed [`Error::OutOfBudget`], while the default load
+/// *pages* — the same budget that rejects the resident load serves the
+/// paged one, with answers bit-identical to an unlimited load.
 #[test]
 fn v3_pages_under_a_budget_that_rejects_resident_formats() {
     use bear_core::LoadOptions;
 
     let g = small_suite()[0].load();
     let bear = Bear::new(&g, &BearConfig::default()).unwrap();
-    let dir = std::env::temp_dir();
-    let v1 = dir.join("bear_oom_v1.idx");
-    let v2 = dir.join("bear_oom_v2.idx");
-    let v3 = dir.join("bear_oom_v3.idx");
-    bear.save_v1(&v1).unwrap();
-    bear.save(&v2).unwrap();
-    bear.save_v3(&v3).unwrap();
+    let path = std::env::temp_dir().join("bear_oom_v3.idx");
+    bear.save(&path).unwrap();
 
-    // A budget one byte short of the full index: the resident formats
-    // need all of it and must refuse, while v3 only charges its hub
-    // part (the spoke factors page) and loads fine.
+    // A budget one byte short of the full index: the resident load needs
+    // all of it and must refuse, while the paged load only charges its
+    // hub part (the spoke factors page) and loads fine.
     let full = bear.memory_bytes();
-    let budget_bytes = full - 1;
-    let opts = LoadOptions { budget: MemBudget::bytes(budget_bytes), resident: false };
+    let budget = MemBudget::bytes(full - 1);
+    let resident = LoadOptions { budget, resident: true };
     assert!(
-        matches!(Bear::load_with(&v1, &opts), Err(Error::OutOfBudget { .. })),
-        "a v1 image over budget must fail typed, not load"
+        matches!(Bear::load_with(&path, &resident), Err(Error::OutOfBudget { .. })),
+        "a resident load over budget must fail typed, not load"
     );
-    assert!(
-        matches!(Bear::load_with(&v2, &opts), Err(Error::OutOfBudget { .. })),
-        "a v2 image over budget must fail typed, not load"
-    );
-    let paged = Bear::load_with(&v3, &opts)
-        .expect("a v3 image over budget must page its spoke factors, not error");
-    assert!(paged.pager().is_some(), "under-budget v3 load must be paged");
+    let paged = Bear::load_with(&path, &LoadOptions { budget, resident: false })
+        .expect("a paged load over budget must page its spoke factors, not error");
+    assert!(paged.pager().is_some(), "under-budget load must be paged");
     for seed in [0, 1, g.num_nodes() - 1] {
         let got = paged.query(seed).unwrap();
         let want = bear.query(seed).unwrap();
@@ -111,10 +102,7 @@ fn v3_pages_under_a_budget_that_rejects_resident_formats() {
             assert_eq!(a.to_bits(), b.to_bits(), "paged answer drifted under budget");
         }
     }
-
-    for p in [&v1, &v2, &v3] {
-        std::fs::remove_file(p).ok();
-    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// Hammers one engine over a paged index from many threads under a
@@ -131,10 +119,10 @@ fn concurrent_engine_on_tiny_budget_stays_exact_and_consistent() {
     let g = small_suite()[0].load();
     let bear = Bear::new(&g, &BearConfig::default()).unwrap();
     let path = std::env::temp_dir().join("bear_oom_hammer.idx");
-    bear.save_v3(&path).unwrap();
+    bear.save(&path).unwrap();
 
     let paged = Arc::new(Bear::load(&path).unwrap());
-    let pager = paged.pager().expect("v3 load is paged").clone();
+    let pager = paged.pager().expect("default load is paged").clone();
     let n = paged.num_nodes();
     let reference: Vec<Vec<f64>> = (0..n).map(|s| bear.query(s).unwrap()).collect();
 
